@@ -46,10 +46,11 @@ func registerJFlag(fs *flag.FlagSet) *int {
 
 // newEngine builds the command's engine from -j and installs it as the
 // process default so package-level conveniences share its memo store.
-// When a telemetry server is live (cdmm serve, or the -serve flag) the
-// engine also reports plan/run lifecycle into its tracker and logger.
+// The engine observes its runs through the command's observer, and when
+// a telemetry server is live (cdmm serve, or the -serve flag) it also
+// reports plan/run lifecycle into the server's tracker and logger.
 func newEngine(j int) *engine.Engine {
-	e := engine.New(j)
+	e := engine.New(j).WithObserver(cmdObserver)
 	if serveProgress != nil {
 		e.WithProgress(serveProgress)
 	}
@@ -366,19 +367,19 @@ func cmdSim(args []string) error {
 			var err error
 			switch *polName {
 			case "cd":
-				res, err = p.RunCD(core.CDOptions{Level: *level})
+				res, err = p.RunCDObserved(core.CDOptions{Level: *level}, cmdObserver)
 				if err != nil {
 					return err
 				}
 			case "lru":
-				res = vmsim.Run(tr.RefsOnly(), policy.NewLRU(*frames))
+				res = vmsim.RunObserved(tr.RefsOnly(), policy.NewLRU(*frames), cmdObserver)
 			case "fifo":
-				res = vmsim.Run(tr.RefsOnly(), policy.NewFIFO(*frames))
+				res = vmsim.RunObserved(tr.RefsOnly(), policy.NewFIFO(*frames), cmdObserver)
 			case "ws":
-				res = vmsim.Run(tr.RefsOnly(), policy.NewWS(*tau))
+				res = vmsim.RunObserved(tr.RefsOnly(), policy.NewWS(*tau), cmdObserver)
 			case "opt":
 				refs := tr.Pages()
-				res = vmsim.Run(tr.RefsOnly(), policy.NewOPT(refs, *frames))
+				res = vmsim.RunObserved(tr.RefsOnly(), policy.NewOPT(refs, *frames), cmdObserver)
 			default:
 				return fmt.Errorf("unknown policy %q", *polName)
 			}
@@ -441,7 +442,7 @@ func sweepSummary(target string) error {
 	fmt.Printf("best LRU: ST=%.4g at m=%d (PF=%d)\n", lruST, mBest, lru.Faults(mBest))
 	fmt.Printf("best WS : ST=%.4g at tau=%d (PF=%d, MEM=%.2f)\n", wsRes.ST(), tauBest, wsRes.Faults, wsRes.MEM())
 	for lvl := 1; lvl <= p.MaxPI(); lvl++ {
-		res, err := p.RunCD(core.CDOptions{Level: lvl})
+		res, err := p.RunCDObserved(core.CDOptions{Level: lvl}, cmdObserver)
 		if err != nil {
 			return err
 		}
@@ -683,7 +684,7 @@ func cmdTables(which string, args []string) error {
 		// same compiled programs, but every simulation and sweep redone.
 		thisDur := time.Since(start)
 		otherStart := time.Now()
-		err = runTablesTo(io.Discard, which, engine.New(*j).WithCellMode(!*cell))
+		err = runTablesTo(io.Discard, which, engine.New(*j).WithObserver(cmdObserver).WithCellMode(!*cell))
 		if err == nil {
 			fmt.Println(renderTimingLine(*cell, thisDur, time.Since(otherStart)))
 		}
@@ -867,15 +868,15 @@ func cmdReplay(args []string) error {
 		var err error
 		switch *polName {
 		case "cd":
-			res, err = vmsim.RunSource(src, policy.NewCD(policy.SelectLevel(*level), 2), nil)
+			res, err = vmsim.RunSource(src, policy.NewCD(policy.SelectLevel(*level), 2), cmdObserver)
 		case "lru":
 			// LRU/FIFO/WS ignore directives, so streaming the full event
 			// stream gives the same Result as the directive-free view.
-			res, err = vmsim.RunSource(src, policy.NewLRU(*frames), nil)
+			res, err = vmsim.RunSource(src, policy.NewLRU(*frames), cmdObserver)
 		case "fifo":
-			res, err = vmsim.RunSource(src, policy.NewFIFO(*frames), nil)
+			res, err = vmsim.RunSource(src, policy.NewFIFO(*frames), cmdObserver)
 		case "ws":
-			res, err = vmsim.RunSource(src, policy.NewWS(*tau), nil)
+			res, err = vmsim.RunSource(src, policy.NewWS(*tau), cmdObserver)
 		case "opt":
 			// OPT needs the whole future reference string, so it cannot
 			// stream; materialize the trace whatever the input format.
@@ -883,7 +884,7 @@ func cmdReplay(args []string) error {
 			if merr != nil {
 				return merr
 			}
-			res = vmsim.Run(tr.RefsOnly(), policy.NewOPT(tr.Pages(), *frames))
+			res = vmsim.RunObserved(tr.RefsOnly(), policy.NewOPT(tr.Pages(), *frames), cmdObserver)
 		default:
 			return fmt.Errorf("unknown policy %q", *polName)
 		}

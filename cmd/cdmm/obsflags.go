@@ -12,7 +12,6 @@ import (
 	"cdmm/internal/kernel"
 	"cdmm/internal/obs"
 	"cdmm/internal/serve"
-	"cdmm/internal/vmsim"
 )
 
 // obsFlags holds the observability flags shared by sim, replay, profile
@@ -42,12 +41,12 @@ func registerObsFlags(fs *flag.FlagSet) *obsFlags {
 	return f
 }
 
-// activate opens the requested sinks, installs the process-wide run
-// observer and starts CPU profiling. Call it before newEngine: a -serve
-// telemetry server attaches its progress tracker to every engine built
-// afterwards. The returned finish func must be called exactly once
-// after the command's work to flush and close everything; its error
-// must be propagated.
+// activate opens the requested sinks, installs the command's run
+// observer (cmdObserver) and starts CPU profiling. Call it before
+// newEngine: the observer, and a -serve telemetry server's progress
+// tracker, attach to every engine built afterwards. The returned
+// finish func must be called exactly once after the command's work to
+// flush and close everything; its error must be propagated.
 func (f *obsFlags) activate() (func() error, error) {
 	var o obs.Observer
 	if *f.events != "" {
@@ -91,7 +90,7 @@ func (f *obsFlags) activate() (func() error, error) {
 		serveLogger = logger
 	}
 	if o.Tracer != nil || o.Metrics != nil {
-		vmsim.DefaultObserver = &o
+		cmdObserver = &o
 	}
 	if *f.cpuprofile != "" {
 		file, err := os.Create(*f.cpuprofile)
@@ -134,7 +133,7 @@ func (f *obsFlags) finish() error {
 			first = err
 		}
 	}
-	vmsim.DefaultObserver = nil
+	cmdObserver = nil
 	if f.srv != nil {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		keep(f.srv.Shutdown(ctx))

@@ -11,16 +11,20 @@ import (
 	"time"
 
 	"cdmm/internal/engine"
+	"cdmm/internal/obs"
 	"cdmm/internal/serve"
-	"cdmm/internal/vmsim"
 )
 
-// serveProgress and serveLogger, when non-nil, are picked up by every
-// engine newEngine builds, so a telemetry server started by `cdmm
+// cmdObserver, serveProgress and serveLogger, when non-nil, are picked
+// up by every engine newEngine builds, so -events/-metrics (or a live
+// telemetry server) observe every run, and a server started by `cdmm
 // serve` (or the -serve flag) tracks the plans of whatever command runs
-// under it. They are process-wide because commands construct engines at
-// several layers; only the serve paths write them.
+// under it. Commands also pass cmdObserver to the simulations they run
+// without an engine. They are process-wide because commands construct
+// engines at several layers; only the observability and serve paths
+// write them.
 var (
+	cmdObserver   *obs.Observer
 	serveProgress *engine.Progress
 	serveLogger   *slog.Logger
 )
@@ -57,9 +61,9 @@ func cmdServe(args []string) error {
 	}
 	serveProgress = srv.Progress()
 	serveLogger = logger
-	vmsim.DefaultObserver = srv.Observer()
+	cmdObserver = srv.Observer()
 	defer func() {
-		vmsim.DefaultObserver = nil
+		cmdObserver = nil
 		serveProgress = nil
 		serveLogger = nil
 	}()

@@ -181,7 +181,7 @@ func Collect(quick bool) (*Baseline, error) {
 // collectBlockStep measures StepBlock throughput with the whole CONDUCT
 // reference string handed over in one call — the ceiling of the block-
 // stepped hot path, with zero cursor or dispatch overhead. The paired
-// per-reference Step measurement pins down the speedup block stepping
+// per-reference (*LRU).Ref loop pins down the speedup block stepping
 // buys; the fault anchors tie both to the simulated behavior.
 func collectBlockStep(b *Baseline, target time.Duration) error {
 	w, err := workloads.Get("CONDUCT")
@@ -212,7 +212,7 @@ func collectBlockStep(b *Baseline, target time.Duration) error {
 	cs = measure(target, len(pages), func() {
 		pol.Reset()
 		for _, pg := range pages {
-			pol.Step(pg)
+			pol.Ref(pg)
 		}
 	})
 	cs.Name = "single_step/LRU"

@@ -2,9 +2,9 @@ package policy
 
 import "cdmm/internal/mem"
 
-// BlockResult accumulates the per-reference indexes of block-stepped
-// simulation. StepBlock *adds* into it (and max-merges MaxResident), so
-// one zeroed BlockResult threads through a whole replay.
+// BlockResult accumulates the per-reference indexes of a replay. Add
+// accounts one reference and StepBlock adds a whole block (max-merging
+// MaxResident), so one zeroed BlockResult threads through a whole replay.
 type BlockResult struct {
 	// Faults is the number of faulting references.
 	Faults int
@@ -18,21 +18,58 @@ type BlockResult struct {
 	SpaceTime int64
 }
 
-// BlockStepper is the batched hot-path interface: StepBlock replays a
-// run of consecutive page references — a directive-free block of the
-// trace — and accumulates the indexes into out. It must be exactly
-// equivalent to calling Step for each page and accumulating the results:
-// same faults, same eviction sequence, same MemSum/SpaceTime/VTime, same
-// running MaxResident. Batching exists so a policy can hoist loop-
-// invariant work (interface dispatch, constant charges, degraded checks)
-// out of the per-reference path.
+// Add accounts one reference by the paper's §5 rule: the reference
+// advances virtual time by dt = 1, plus FaultService when it faulted;
+// the space-time charge is sampled into MemSum and integrated over dt
+// into SpaceTime; the resident count feeds MaxResident. The sums are
+// int64: every charge and time step is an integer, so they stay exact
+// where float64 sums would start rounding past 2^53.
+func (r *BlockResult) Add(fault bool, resident, charged int) {
+	dt := int64(1)
+	if fault {
+		r.Faults++
+		dt += FaultService
+	}
+	if resident > r.MaxResident {
+		r.MaxResident = resident
+	}
+	r.VTime += dt
+	r.SpaceTime += int64(charged) * dt
+	r.MemSum += int64(charged)
+}
+
+// BlockStepper is the batched replay interface: StepBlock replays a run
+// of consecutive page references — a directive-free block of the trace —
+// and accumulates the indexes into out. It must be exactly equivalent to
+// StepRefs over the same block: same faults, same eviction sequence,
+// same MemSum/SpaceTime/VTime, same running MaxResident. Batching exists
+// so a policy can hoist loop-invariant work (interface dispatch,
+// constant charges, degraded checks) out of the per-reference path.
 type BlockStepper interface {
 	StepBlock(pages []mem.Page, out *BlockResult)
 }
 
+// StepRefs replays pages through pol one reference at a time — Ref, then
+// Add with the post-reference Resident and Charge. It is the block step
+// of policies that do not implement BlockStepper, such as wrappers like
+// chaos.Pressured.
+func StepRefs(pol Policy, pages []mem.Page, out *BlockResult) {
+	charger, _ := pol.(Charger) // hoisted from Charge
+	for _, pg := range pages {
+		fault := pol.Ref(pg)
+		r := pol.Resident()
+		m := r
+		if charger != nil {
+			m = charger.Charged()
+		}
+		out.Add(fault, r, m)
+	}
+}
+
 // fixedCharge folds a block's accumulation for fixed-partition policies
-// (LRU, FIFO): the charge is the whole partition for every reference, so
-// MemSum and SpaceTime are block-level products rather than per-ref sums.
+// (LRU, FIFO, OPT): the charge is the whole partition for every
+// reference, so MemSum and SpaceTime are block-level products rather
+// than per-ref sums.
 func fixedCharge(out *BlockResult, frames, refs, faults, endResident int) {
 	vt := int64(refs) + int64(faults)*FaultService
 	out.Faults += faults
@@ -163,55 +200,61 @@ func (p *WS) StepBlock(pages []mem.Page, out *BlockResult) {
 // installed: per-reference Ref calls, so hooks observe every state
 // transition exactly as single stepping would produce it.
 func (p *WS) stepBlockObserved(pages []mem.Page, out *BlockResult) {
-	var faults int
-	var vt, memSum, spaceTime int64
-	maxRes := out.MaxResident
 	for _, pg := range pages {
-		dt := int64(1)
-		if p.Ref(pg) {
-			faults++
-			dt += FaultService
-		}
-		r := int64(p.resident)
-		if p.resident > maxRes {
-			maxRes = p.resident
-		}
-		vt += dt
-		spaceTime += r * dt
-		memSum += r
+		fault := p.Ref(pg)
+		out.Add(fault, p.resident, p.resident)
 	}
-	out.Faults += faults
-	out.VTime += vt
-	out.MemSum += memSum
-	out.SpaceTime += spaceTime
-	out.MaxResident = maxRes
 }
 
-// StepBlock implements BlockStepper.
+// StepBlock implements BlockStepper. DWS is charged its working set plus
+// the pages it holds back from expiry.
 func (p *DWS) StepBlock(pages []mem.Page, out *BlockResult) {
-	var faults int
-	var vt, memSum, spaceTime int64
-	maxRes := out.MaxResident
 	for _, pg := range pages {
-		dt := int64(1)
+		fault := p.Ref(pg)
+		r := p.ws.resident + p.heldCount
+		out.Add(fault, r, r)
+	}
+}
+
+// StepBlock implements BlockStepper. PFF resizes its resident set at
+// fault times, so each reference is accounted on its own, charged the
+// resident set.
+func (p *PFF) StepBlock(pages []mem.Page, out *BlockResult) {
+	for _, pg := range pages {
+		fault := p.Ref(pg)
+		out.Add(fault, p.nres, p.nres)
+	}
+}
+
+// StepBlock implements BlockStepper. SWS resizes its resident set at
+// sample times and is charged the resident set.
+func (p *SWS) StepBlock(pages []mem.Page, out *BlockResult) {
+	for _, pg := range pages {
+		fault := p.Ref(pg)
+		out.Add(fault, p.nres, p.nres)
+	}
+}
+
+// StepBlock implements BlockStepper. VSWS resizes its resident set at
+// sample times and is charged the resident set.
+func (p *VSWS) StepBlock(pages []mem.Page, out *BlockResult) {
+	for _, pg := range pages {
+		fault := p.Ref(pg)
+		out.Add(fault, p.nres, p.nres)
+	}
+}
+
+// StepBlock implements BlockStepper. Like LRU, OPT's resident count is
+// nondecreasing within a block (a fault at capacity evicts one page and
+// inserts one) and the charge is the fixed partition.
+func (p *OPT) StepBlock(pages []mem.Page, out *BlockResult) {
+	faults := 0
+	for _, pg := range pages {
 		if p.Ref(pg) {
 			faults++
-			dt += FaultService
 		}
-		res := p.ws.resident + p.heldCount
-		if res > maxRes {
-			maxRes = res
-		}
-		r := int64(res)
-		vt += dt
-		spaceTime += r * dt
-		memSum += r
 	}
-	out.Faults += faults
-	out.VTime += vt
-	out.MemSum += memSum
-	out.SpaceTime += spaceTime
-	out.MaxResident = maxRes
+	fixedCharge(out, p.frames, len(pages), faults, len(p.resident))
 }
 
 // StepBlock implements BlockStepper. CD degrades only on directive
@@ -273,4 +316,8 @@ var (
 	_ BlockStepper = (*WS)(nil)
 	_ BlockStepper = (*DWS)(nil)
 	_ BlockStepper = (*CD)(nil)
+	_ BlockStepper = (*PFF)(nil)
+	_ BlockStepper = (*SWS)(nil)
+	_ BlockStepper = (*VSWS)(nil)
+	_ BlockStepper = (*OPT)(nil)
 )

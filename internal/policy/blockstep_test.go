@@ -8,17 +8,19 @@ import (
 	"cdmm/internal/mem"
 )
 
-// Block-stepping differential: StepBlock must be *exactly* the fold of
-// Step over the block — same faults, same eviction sequence, same
-// MemSum/SpaceTime/VTime, same running MaxResident — and both must match
-// the map-based oracle driven through the generic Ref/Resident/Charge
-// path. The streams reuse the randomized op generator of
-// differential_test.go (locality + wild sparse pages + CD directives)
-// and the blocks are cut at every directive and at randomized caps, so
-// short blocks, directive-only blocks and cap-split runs are all hit.
+// Block-stepping differential: StepBlock must be *exactly* the per-
+// reference StepRefs fallback over the block — same faults, same
+// eviction sequence, same MemSum/SpaceTime/VTime, same running
+// MaxResident — and both must match the map-based oracle accounted by
+// hand through the generic Ref/Resident/Charge path. The streams reuse
+// the randomized op generator of differential_test.go (locality + wild
+// sparse pages + CD directives) and the blocks are cut at every
+// directive and at randomized caps, so short blocks, directive-only
+// blocks and cap-split runs are all hit.
 
 // accumGeneric advances out by one reference through the generic
-// three-call path (the vmsim fallback loop for non-Stepper policies).
+// three-call path, with the §5 accounting written out independently of
+// BlockResult.Add.
 func accumGeneric(p Policy, pg mem.Page, out *BlockResult) {
 	fault := p.Ref(pg)
 	dt := int64(1)
@@ -30,22 +32,6 @@ func accumGeneric(p Policy, pg mem.Page, out *BlockResult) {
 		out.MaxResident = r
 	}
 	m := Charge(p)
-	out.VTime += dt
-	out.SpaceTime += int64(m) * dt
-	out.MemSum += int64(m)
-}
-
-// accumStep advances out by one reference through the Stepper fast path.
-func accumStep(st Stepper, pg mem.Page, out *BlockResult) {
-	fault, r, m := st.Step(pg)
-	dt := int64(1)
-	if fault {
-		out.Faults++
-		dt += FaultService
-	}
-	if r > out.MaxResident {
-		out.MaxResident = r
-	}
 	out.VTime += dt
 	out.SpaceTime += int64(m) * dt
 	out.MemSum += int64(m)
@@ -63,15 +49,14 @@ func collectEvictions(p Policy) *[]mem.Page {
 
 // runBlockDiff replays ops through four instances — block-stepped with
 // an eviction recorder, block-stepped bare (no hooks, so policies with
-// an observer-free fast path take it), single-stepped, and the map
-// oracle — and asserts identical indexes and identical eviction
-// sequences. maxBlock caps the reference runs handed to StepBlock (0 =
+// an observer-free fast path take it), single-stepped through the
+// StepRefs fallback, and the map oracle — and asserts identical indexes
+// and identical eviction sequences. maxBlock caps the reference runs handed to StepBlock (0 =
 // cut only at directives), mirroring CursorOpts.MaxBlock.
 func runBlockDiff(t *testing.T, blocked, bare, stepped, oracle Policy, ops []diffOp, maxBlock int, tag string) {
 	t.Helper()
 	bst := blocked.(BlockStepper)
 	bareBst := bare.(BlockStepper)
-	st := stepped.(Stepper)
 	evB := collectEvictions(blocked)
 	evS := collectEvictions(stepped)
 
@@ -92,7 +77,7 @@ func runBlockDiff(t *testing.T, blocked, bare, stepped, oracle Policy, ops []dif
 			if maxBlock > 0 && len(pages) >= maxBlock {
 				flush()
 			}
-			accumStep(st, op.page, &rs)
+			StepRefs(stepped, []mem.Page{op.page}, &rs)
 			accumGeneric(oracle, op.page, &ro)
 		case opAlloc:
 			flush()
@@ -117,7 +102,7 @@ func runBlockDiff(t *testing.T, blocked, bare, stepped, oracle Policy, ops []dif
 	flush()
 
 	if rb != rs {
-		t.Fatalf("%s: StepBlock %+v != Step %+v", tag, rb, rs)
+		t.Fatalf("%s: StepBlock %+v != StepRefs %+v", tag, rb, rs)
 	}
 	if rb != ro {
 		t.Fatalf("%s: StepBlock %+v != oracle %+v", tag, rb, ro)
@@ -135,30 +120,13 @@ func runBlockDiff(t *testing.T, blocked, bare, stepped, oracle Policy, ops []dif
 	}
 }
 
-// blockCases are the policies implementing BlockStepper.
-func blockCases() []diffCase {
-	var cases []diffCase
-	for _, tc := range diffCases() {
-		if _, ok := tc.dense().(BlockStepper); ok {
-			cases = append(cases, tc)
-		}
-	}
-	return cases
-}
-
-// TestBlockStepCoversAllSteppers guards the case list: every Stepper in
-// the differential suite must also block-step, or the hot path silently
-// loses its batching for that policy.
+// TestBlockStepCoversAllSteppers guards the hot path: every policy in
+// the differential suite must block-step, or the simulator silently
+// replays it through the per-reference fallback.
 func TestBlockStepCoversAllSteppers(t *testing.T) {
-	if len(blockCases()) == 0 {
-		t.Fatal("no BlockStepper policies in the differential suite")
-	}
 	for _, tc := range diffCases() {
-		p := tc.dense()
-		_, isStep := p.(Stepper)
-		_, isBlock := p.(BlockStepper)
-		if isBlock && !isStep {
-			t.Errorf("%s: BlockStepper without Stepper (no single-step oracle)", tc.name)
+		if _, ok := tc.dense().(BlockStepper); !ok {
+			t.Errorf("%s: does not implement BlockStepper", tc.name)
 		}
 	}
 }
@@ -167,7 +135,7 @@ func TestBlockStepCoversAllSteppers(t *testing.T) {
 // across seeds and block caps, including the degenerate one-reference
 // blocks and directive-heavy CD streams.
 func TestBlockStepMatchesStepAndOracle(t *testing.T) {
-	for _, tc := range blockCases() {
+	for _, tc := range diffCases() {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			for seed := int64(1); seed <= 4; seed++ {
@@ -185,9 +153,9 @@ func TestBlockStepMatchesStepAndOracle(t *testing.T) {
 
 // TestBlockStepResetReuse replays stream A block-stepped, Resets, and
 // replays stream B — the engine's policy-reuse pattern — against fresh
-// single-stepped and oracle twins.
+// StepRefs and oracle twins.
 func TestBlockStepResetReuse(t *testing.T) {
-	for _, tc := range blockCases() {
+	for _, tc := range diffCases() {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			r := rand.New(rand.NewSource(99))
@@ -211,7 +179,7 @@ func TestBlockStepResetReuse(t *testing.T) {
 // TestBlockStepSparseDenseOverlap walks StepBlock through the pageIndex
 // sparse-then-dense growth window (see TestPolicySparseDenseOverlap).
 func TestBlockStepSparseDenseOverlap(t *testing.T) {
-	for _, tc := range blockCases() {
+	for _, tc := range diffCases() {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			r := rand.New(rand.NewSource(23))

@@ -15,7 +15,7 @@ import (
 // operation streams — references with locality plus wild sparse pages,
 // and ALLOCATE/LOCK/UNLOCK directives for CD — asserting identical fault,
 // Resident and Charge values after every single operation, across Reset
-// reuse, and through the Stepper fast path.
+// reuse, and through the per-reference StepRefs accounting.
 
 const (
 	opRef = iota
@@ -103,21 +103,19 @@ func genOps(r *rand.Rand, n int, pages []mem.Page, withDirectives bool) []diffOp
 
 // runDiff drives dense and oracle over the same stream, comparing after
 // every operation. useStep additionally routes dense references through
-// the Stepper fast path and checks its triple against the oracle.
+// the StepRefs fallback and checks its running indexes against the
+// oracle's, accounted by hand.
 func runDiff(t *testing.T, dense, oracle Policy, ops []diffOp, useStep bool, tag string) {
 	t.Helper()
-	stepper, _ := dense.(Stepper)
+	var rd, ro BlockResult
 	for i, op := range ops {
 		switch op.kind {
 		case opRef:
-			if useStep && stepper != nil {
-				fault, res, chg := stepper.Step(op.page)
-				if of := oracle.Ref(op.page); fault != of {
-					t.Fatalf("%s: op %d ref %d: fault dense=%v oracle=%v", tag, i, op.page, fault, of)
-				}
-				if res != oracle.Resident() || chg != Charge(oracle) {
-					t.Fatalf("%s: op %d ref %d: Step (res=%d chg=%d) != oracle (res=%d chg=%d)",
-						tag, i, op.page, res, chg, oracle.Resident(), Charge(oracle))
+			if useStep {
+				StepRefs(dense, []mem.Page{op.page}, &rd)
+				accumGeneric(oracle, op.page, &ro)
+				if rd != ro {
+					t.Fatalf("%s: op %d ref %d: StepRefs %+v != oracle %+v", tag, i, op.page, rd, ro)
 				}
 			} else if df, of := dense.Ref(op.page), oracle.Ref(op.page); df != of {
 				t.Fatalf("%s: op %d ref %d: fault dense=%v oracle=%v", tag, i, op.page, df, of)
@@ -200,7 +198,7 @@ func diffCases() []diffCase {
 }
 
 // TestDenseMatchesOracle is the core differential: dense vs oracle over
-// several seeded random streams, via both the Ref and the Step paths.
+// several seeded random streams, via both the Ref and the StepRefs paths.
 func TestDenseMatchesOracle(t *testing.T) {
 	for _, tc := range diffCases() {
 		tc := tc

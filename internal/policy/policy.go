@@ -62,31 +62,44 @@ func Charge(p Policy) int {
 	return p.Resident()
 }
 
-// AsCD returns the CD policy underlying p, seeing through any chain of
-// wrappers that expose Unwrap (e.g. Instrumented), or nil when p is not
-// driven by a CD policy. The simulator uses it to surface CD-specific
-// counters and hook points regardless of decoration.
-func AsCD(p Policy) *CD {
+// As returns the first policy in p's wrapper chain — p itself, then each
+// policy a successive Unwrap() Policy exposes — that is a T. Decorators
+// (chaos.Pressured, the simulator's checked-run wrapper) implement
+// Unwrap so the simulator still reaches the concrete policy's CD
+// counters, page hints and eviction hooks behind them.
+func As[T any](p Policy) (T, bool) {
 	for p != nil {
-		if cd, ok := p.(*CD); ok {
-			return cd
+		if t, ok := p.(T); ok {
+			return t, true
 		}
 		u, ok := p.(interface{ Unwrap() Policy })
 		if !ok {
-			return nil
+			break
 		}
 		p = u.Unwrap()
 	}
-	return nil
+	var zero T
+	return zero, false
 }
 
-// Stepper is an optional hot-path interface: Step performs Ref and also
-// returns the post-reference Resident and Charge values, so the
-// simulation loop pays one dynamic dispatch per reference instead of
-// three. Step must be exactly equivalent to calling Ref, then Resident,
-// then Charge.
-type Stepper interface {
-	Step(pg mem.Page) (fault bool, resident, charged int)
+// AsCD returns the CD policy underlying p, seeing through any chain of
+// wrappers (see As), or nil when p is not driven by a CD policy.
+func AsCD(p Policy) *CD {
+	cd, _ := As[*CD](p)
+	return cd
+}
+
+// ApplyDir feeds a block-closing directive event to the policy,
+// resolving it against the stream's side tables.
+func ApplyDir(pol Policy, tb *trace.SideTables, e trace.Event) {
+	switch e.Kind {
+	case trace.EvAlloc:
+		pol.Alloc(tb.Alloc(e))
+	case trace.EvLock:
+		pol.Lock(tb.Lock(e))
+	case trace.EvUnlock:
+		pol.Unlock(tb.Unlock(e))
+	}
 }
 
 // EvictObserver is implemented by policies that can report each page

@@ -439,3 +439,32 @@ func TestResetAllPolicies(t *testing.T) {
 		}
 	}
 }
+
+// unwrapper is a minimal decorator exposing its inner policy.
+type unwrapper struct{ Policy }
+
+func (u unwrapper) Unwrap() Policy { return u.Policy }
+
+// TestAsSeesThroughWrappers pins the wrapper walk the simulator relies on
+// to reach CD counters, page hints and eviction hooks behind decorators.
+func TestAsSeesThroughWrappers(t *testing.T) {
+	cd := NewCD(SelectLevel(1), 2)
+	wrapped := unwrapper{unwrapper{cd}}
+	if got := AsCD(wrapped); got != cd {
+		t.Fatalf("AsCD through two wrappers = %p, want %p", got, cd)
+	}
+	if h, ok := As[PageHinter](wrapped); !ok || h != PageHinter(cd) {
+		t.Fatalf("As[PageHinter] = %v, %v; want the wrapped CD", h, ok)
+	}
+	if AsCD(unwrapper{NewLRU(4)}) != nil {
+		t.Fatal("AsCD found a CD behind an LRU")
+	}
+	// An unwrapped policy is its own match.
+	lru := NewLRU(4)
+	if eo, ok := As[EvictObserver](lru); !ok || eo != EvictObserver(lru) {
+		t.Fatalf("As[EvictObserver](LRU) = %v, %v", eo, ok)
+	}
+	if _, ok := As[*WS](unwrapper{NewLRU(4)}); ok {
+		t.Fatal("As[*WS] matched an LRU")
+	}
+}

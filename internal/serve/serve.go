@@ -93,9 +93,12 @@ type Server struct {
 	scrapeBuf  bytes.Buffer
 
 	// ctx is canceled by Shutdown so SSE handlers unblock before
-	// http.Server.Shutdown waits for them.
-	ctx    context.Context
-	cancel context.CancelFunc
+	// http.Server.Shutdown waits for them; stopCtx is Shutdown's own
+	// context, set before the cancel, whose deadline bounds the SSE
+	// drain.
+	ctx     context.Context
+	cancel  context.CancelFunc
+	stopCtx context.Context
 }
 
 // New builds a server (not yet listening) from opt.
@@ -201,10 +204,11 @@ func (s *Server) Open() bool {
 	return last != 0 && time.Since(time.Unix(0, last)) < s.opt.ScrapeWindow
 }
 
-// Shutdown stops the server: SSE streams are closed first (so Shutdown
-// does not wait on them forever), then the listener drains gracefully
-// within ctx.
+// Shutdown stops the server: SSE streams flush the frames already
+// queued for them and close (so Shutdown does not wait on them forever),
+// then the listener drains gracefully within ctx.
 func (s *Server) Shutdown(ctx context.Context) error {
+	s.stopCtx = ctx
 	s.cancel()
 	err := s.srv.Shutdown(ctx)
 	if s.done != nil {
@@ -249,16 +253,45 @@ func (s *Server) renderMetrics(buf *bytes.Buffer) {
 	s.writeKernelMetrics(buf)
 }
 
-// writeServeMetrics appends the server's own series to a scrape.
+// writeServeMetrics appends the server's own series to a scrape. It
+// formats with strconv rather than fmt: fmt's printer cache is a
+// sync.Pool, which the race detector drains at random, so fmt would make
+// the fixed per-scrape allocation count nondeterministic.
 func (s *Server) writeServeMetrics(buf *bytes.Buffer) {
-	ns := s.opt.Namespace
 	counts := s.opt.Progress.Snapshot().Counts
-	fmt.Fprintf(buf, "# HELP %s_serve_subscribers connected SSE event subscribers\n# TYPE %s_serve_subscribers gauge\n%s_serve_subscribers %d\n", ns, ns, ns, s.hub.subscribers())
-	fmt.Fprintf(buf, "# HELP %s_serve_events_total SSE frames fanned out\n# TYPE %s_serve_events_total counter\n%s_serve_events_total %d\n", ns, ns, ns, s.hub.total.Load())
-	fmt.Fprintf(buf, "# HELP %s_serve_dropped_frames_total SSE frames dropped at slow subscribers\n# TYPE %s_serve_dropped_frames_total counter\n%s_serve_dropped_frames_total %d\n", ns, ns, ns, s.hub.drops.Load())
-	fmt.Fprintf(buf, "# HELP %s_serve_runs engine runs by lifecycle state\n# TYPE %s_serve_runs gauge\n", ns, ns)
-	for _, state := range []string{"queued", "running", "retrying", "done", "failed", "degraded"} {
-		fmt.Fprintf(buf, "%s_serve_runs{state=%q} %d\n", ns, state, counts[state])
+	s.writeServeSeries(buf, "serve_subscribers", "gauge", "connected SSE event subscribers", "", int64(s.hub.subscribers()))
+	s.writeServeSeries(buf, "serve_events_total", "counter", "SSE frames fanned out", "", s.hub.total.Load())
+	s.writeServeSeries(buf, "serve_dropped_frames_total", "counter", "SSE frames dropped at slow subscribers", "", s.hub.drops.Load())
+	for i, state := range []string{"queued", "running", "retrying", "done", "failed", "degraded"} {
+		help := ""
+		if i == 0 {
+			help = "engine runs by lifecycle state"
+		}
+		s.writeServeSeries(buf, "serve_runs", "gauge", help, state, int64(counts[state]))
+	}
+}
+
+// writeServeSeries appends one sample of a namespaced series, preceded by
+// its HELP and TYPE lines when help is non-empty; state, when non-empty,
+// is the sample's state label.
+func (s *Server) writeServeSeries(buf *bytes.Buffer, name, typ, help, state string, v int64) {
+	ns := s.opt.Namespace
+	if help != "" {
+		writeStrings(buf, "# HELP ", ns, "_", name, " ", help, "\n# TYPE ", ns, "_", name, " ", typ, "\n")
+	}
+	writeStrings(buf, ns, "_", name)
+	if state != "" {
+		writeStrings(buf, `{state="`, state, `"}`)
+	}
+	buf.WriteByte(' ')
+	buf.Write(strconv.AppendInt(buf.AvailableBuffer(), v, 10))
+	buf.WriteByte('\n')
+}
+
+// writeStrings appends parts to buf without building their concatenation.
+func writeStrings(buf *bytes.Buffer, parts ...string) {
+	for _, p := range parts {
+		buf.WriteString(p)
 	}
 }
 
@@ -311,6 +344,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		case <-r.Context().Done():
 			return
 		case <-s.ctx.Done():
+			s.drain(w, sub)
 			return
 		case <-heartbeat.C:
 			if _, err := w.Write([]byte(": keepalive\n\n")); err != nil {
@@ -332,6 +366,39 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			fl.Flush()
 		}
 	}
+}
+
+// drain ends a stream on shutdown without silently losing data: the
+// subscriber leaves the hub so no new frames arrive, the frames already
+// queued are written within the shutdown deadline, and a final dropped
+// frame counts whatever was lost — earlier drops not yet reported plus
+// queued frames the deadline or a failed write left unsent.
+func (s *Server) drain(w http.ResponseWriter, sub *subscriber) {
+	s.hub.unsubscribe(sub)
+	rc := http.NewResponseController(w)
+	stop := s.stopCtx
+	if d, ok := stop.Deadline(); ok {
+		rc.SetWriteDeadline(d)
+	}
+	lost := sub.dropped.Swap(0)
+	failed := false
+	for n := len(sub.ch); n > 0; n-- {
+		frame := <-sub.ch
+		if failed || stop.Err() != nil {
+			lost++
+			continue
+		}
+		if _, err := w.Write(frame); err != nil {
+			failed = true
+			lost++
+		}
+	}
+	// The last writes are best effort: the stream ends here either way.
+	if lost > 0 && !failed {
+		w.Write(appendFrame(nil, s.hub.seq.Add(1), "dropped",
+			[]byte(`{"dropped":`+strconv.FormatInt(lost, 10)+`}`)))
+	}
+	rc.Flush()
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

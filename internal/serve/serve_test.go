@@ -376,3 +376,57 @@ func TestServeObserverFastPathWhenUnwatched(t *testing.T) {
 		t.Errorf("dark run position = %+v", rs)
 	}
 }
+
+// TestServeShutdownAccountsForEveryFrame pins the hub's "clients never
+// silently miss data" contract across shutdown: a burst that overruns a
+// small subscriber buffer, followed at once by Shutdown, must reach the
+// client as delivered frames plus dropped notices that add up to the
+// whole burst — frames still queued at shutdown are flushed, and the
+// rest are counted.
+func TestServeShutdownAccountsForEveryFrame(t *testing.T) {
+	srv, client := startServer(t, Options{EventBuffer: 8})
+	resp, err := client.Get(srv.URL() + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sseDone := make(chan string, 1)
+	go func() {
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		sseDone <- string(b)
+	}()
+	for i := 0; srv.hub.subscribers() == 0; i++ {
+		if i > 500 {
+			t.Fatal("SSE subscriber never registered")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+
+	const burst = 2000
+	for i := 0; i < burst; i++ {
+		srv.hub.Emit(obs.Event{Kind: obs.KindFault, I: i})
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+
+	delivered, dropped := 0, 0
+	for _, frame := range strings.Split(<-sseDone, "\n\n") {
+		switch {
+		case strings.Contains(frame, "event: obs\n"):
+			delivered++
+		case strings.Contains(frame, "event: dropped\n"):
+			var n struct{ Dropped int }
+			if err := json.Unmarshal([]byte(frame[strings.Index(frame, "data: ")+len("data: "):]), &n); err != nil {
+				t.Fatalf("dropped frame %q: %v", frame, err)
+			}
+			dropped += n.Dropped
+		}
+	}
+	if delivered+dropped != burst {
+		t.Fatalf("stream accounts for %d frames (%d delivered + %d dropped), want %d",
+			delivered+dropped, delivered, dropped, burst)
+	}
+}

@@ -33,9 +33,7 @@ package sweep
 
 import (
 	"cdmm/internal/mem"
-	"cdmm/internal/policy"
 	"cdmm/internal/trace"
-	"cdmm/internal/vmsim"
 )
 
 // walkRefs streams the source's reference string through fn block by
@@ -50,25 +48,4 @@ func walkRefs(src trace.Source, fn func(pages []mem.Page)) error {
 		fn(b.Pages)
 	}
 	return cur.Err()
-}
-
-// resultOf converts one policy's accumulated block indexes into the
-// common Result form, exactly as vmsim's block loop does.
-func resultOf(pol policy.Policy, refs int, out *policy.BlockResult) vmsim.Result {
-	res := vmsim.Result{
-		Policy:      pol.Name(),
-		Refs:        refs,
-		Faults:      out.Faults,
-		MaxResident: out.MaxResident,
-		VirtualTime: out.VTime,
-		SpaceTime:   float64(out.SpaceTime),
-		MemSum:      float64(out.MemSum),
-	}
-	if cd := policy.AsCD(pol); cd != nil {
-		res.SwapSignals = cd.SwapSignals
-		res.LockReleases = cd.LockReleases
-		res.Degraded = cd.Degraded()
-		res.DegradedReason = cd.DegradedReason()
-	}
-	return res
 }

@@ -4,7 +4,7 @@
 // reference, fault, eviction and directive action to the source site
 // executing at that instant. The aggregates land in an attr.Ledger whose
 // per-site sums equal the run totals by construction. This is a separate
-// loop from runFast, so the un-instrumented hot path never touches the
+// loop from runBlocks, so the un-instrumented hot path never touches the
 // side-band; like the observed loop it is only entered on request.
 package vmsim
 
@@ -26,21 +26,15 @@ const (
 	evictRelease        // force-released from a LOCK under memory pressure
 )
 
-// setEvictHook installs fn on the first EvictObserver in pol's Unwrap
+// setEvictHook installs fn on the first EvictObserver in pol's wrapper
 // chain and returns an uninstaller (a no-op when none is found).
 func setEvictHook(pol policy.Policy, fn func(mem.Page)) func() {
-	for p := pol; p != nil; {
-		if eo, ok := p.(policy.EvictObserver); ok {
-			eo.SetEvictHook(fn)
-			return func() { eo.SetEvictHook(nil) }
-		}
-		u, ok := p.(interface{ Unwrap() policy.Policy })
-		if !ok {
-			break
-		}
-		p = u.Unwrap()
+	eo, ok := policy.As[policy.EvictObserver](pol)
+	if !ok {
+		return func() {}
 	}
-	return func() {}
+	eo.SetEvictHook(fn)
+	return func() { eo.SetEvictHook(nil) }
 }
 
 // RunAttributed is Run with fault attribution: the returned Result is
@@ -63,11 +57,7 @@ func RunAttributedSource(src trace.Source, pol policy.Policy, o *obs.Observer) (
 	hintPages(meta, pol)
 	tb := src.Tables()
 	led := attr.NewLedger(meta.Name, pol.Name(), tb.Sites)
-	res := Result{Policy: pol.Name(), Refs: meta.Refs}
 	charger, _ := pol.(policy.Charger) // hoisted from policy.Charge
-	if o == nil {
-		o = DefaultObserver
-	}
 	prog := obs.ProgressOf(o)
 
 	// Per-page provenance, dense by page number. Pages outside the
@@ -135,10 +125,7 @@ func RunAttributedSource(src trace.Source, pol policy.Policy, o *obs.Observer) (
 		defer func() { cd.Hooks = saved }()
 	}
 
-	var (
-		faults, maxRes        int
-		vt, spaceTime, memSum int64
-	)
+	var acc policy.BlockResult
 	cur := src.Blocks(trace.CursorOpts{WithSites: true})
 	defer cur.Close()
 	refIdx := 0
@@ -154,15 +141,19 @@ func RunAttributedSource(src trace.Source, pol policy.Policy, o *obs.Observer) (
 			fault := pol.Ref(pg)
 			refIdx++
 			if prog != nil && refIdx%progressChunk == 0 {
-				prog(refIdx, meta.Refs, vt)
+				prog(refIdx, meta.Refs, acc.VTime)
 			}
-			dt := int64(1)
+			vt0 := acc.VTime
+			r := pol.Resident()
+			m := r
+			if charger != nil {
+				m = charger.Charged()
+			}
+			acc.Add(fault, r, m)
 			st := led.Slot(site)
 			if fault {
-				faults++
-				dt += policy.FaultService
 				st.Faults++
-				led.FaultLog = append(led.FaultLog, attr.FaultPoint{VT: vt + dt, Site: site, Page: int32(pg)})
+				led.FaultLog = append(led.FaultLog, attr.FaultPoint{VT: acc.VTime, Site: site, Page: int32(pg)})
 				if int(pg) < npages {
 					switch evictKind[pg] {
 					case evictShrink:
@@ -175,18 +166,8 @@ func RunAttributedSource(src trace.Source, pol policy.Policy, o *obs.Observer) (
 			} else if int(pg) < npages && lockSite[pg] != trace.NoSite {
 				led.Slot(lockSite[pg]).LockedHits++
 			}
-			m := pol.Resident()
-			if m > maxRes {
-				maxRes = m
-			}
-			if charger != nil {
-				m = charger.Charged()
-			}
-			vt += dt
-			spaceTime += int64(m) * dt
-			memSum += int64(m)
 			st.Refs++
-			st.VTime += dt
+			st.VTime += acc.VTime - vt0
 			st.MemSum += float64(m)
 		}
 		if !b.HasDir {
@@ -230,20 +211,10 @@ func RunAttributedSource(src trace.Source, pol policy.Policy, o *obs.Observer) (
 		}
 	}
 	if prog != nil {
-		prog(refIdx, meta.Refs, vt)
+		prog(refIdx, meta.Refs, acc.VTime)
 	}
 
-	res.Faults = faults
-	res.MaxResident = maxRes
-	res.VirtualTime = vt
-	res.SpaceTime = float64(spaceTime)
-	res.MemSum = float64(memSum)
-	if cd := policy.AsCD(pol); cd != nil {
-		res.SwapSignals = cd.SwapSignals
-		res.LockReleases = cd.LockReleases
-		res.Degraded = cd.Degraded()
-		res.DegradedReason = cd.DegradedReason()
-	}
+	res := Finalize(pol, meta.Refs, &acc)
 	led.Refs = res.Refs
 	led.Faults = res.Faults
 	led.MemSum = res.MemSum

@@ -17,13 +17,12 @@ import (
 // built-in workload (and randomized traces), the simulator must produce
 // the identical Result — and the identical eviction sequence — whether
 // the policy replays through StepBlock (the hot path), through the
-// generic per-reference loop (the oracle, forced by a wrapper hiding the
-// fast-path interfaces), or streamed chunk by chunk from an on-disk CDT3
-// file.
+// per-reference policy.StepRefs fallback (forced by a wrapper hiding
+// BlockStepper), or streamed chunk by chunk from an on-disk CDT3 file.
 
-// perRefOnly hides Stepper and BlockStepper so runBlocks takes the
-// generic Ref/Resident/Charge path, while Unwrap keeps AsCD and the
-// page hints seeing the real policy.
+// perRefOnly hides BlockStepper so runBlocks takes the per-reference
+// StepRefs fallback, while Unwrap keeps AsCD and the page hints seeing
+// the real policy.
 type perRefOnly struct {
 	inner policy.Policy
 }
@@ -126,7 +125,7 @@ func runThreeWays(t *testing.T, tag string, tr *trace.Trace, cdt3 string, mk fun
 }
 
 // TestBlockStepAllWorkloads runs the three-way differential on every
-// built-in workload under CD, LRU, FIFO, WS and DWS.
+// built-in workload under every policy.
 func TestBlockStepAllWorkloads(t *testing.T) {
 	progs := workloads.All()
 	if len(progs) < 9 {
@@ -141,6 +140,7 @@ func TestBlockStepAllWorkloads(t *testing.T) {
 		cdt3 := writeCDT3Temp(t, tr)
 		sel := c.Program.DefaultSet().Selector()
 		v := c.V()
+		pages := tr.Pages()
 		for _, pc := range []struct {
 			name string
 			mk   func() policy.Policy
@@ -150,6 +150,10 @@ func TestBlockStepAllWorkloads(t *testing.T) {
 			{"FIFO", func() policy.Policy { return policy.NewFIFO(v/3 + 1) }},
 			{"WS", func() policy.Policy { return policy.NewWS(200) }},
 			{"DWS", func() policy.Policy { return policy.NewDWS(150, 10) }},
+			{"PFF", func() policy.Policy { return policy.NewPFF(100) }},
+			{"SWS", func() policy.Policy { return policy.NewSWS(150) }},
+			{"VSWS", func() policy.Policy { return policy.NewVSWS(50, 400, 4) }},
+			{"OPT", func() policy.Policy { return policy.NewOPT(pages, v/2+1) }},
 		} {
 			runThreeWays(t, p.Name+"/"+pc.name, tr, cdt3, pc.mk)
 		}
@@ -184,6 +188,8 @@ func TestBlockStepRandomTraces(t *testing.T) {
 		frames := 1 + r.Intn(40)
 		tau := 1 + r.Intn(400)
 		damp := 1 + r.Intn(20)
+		threshold := 1 + r.Intn(200)
+		pages := tr.Pages()
 		for _, pc := range []struct {
 			name string
 			mk   func() policy.Policy
@@ -192,6 +198,10 @@ func TestBlockStepRandomTraces(t *testing.T) {
 			{"FIFO", func() policy.Policy { return policy.NewFIFO(frames) }},
 			{"WS", func() policy.Policy { return policy.NewWS(tau) }},
 			{"DWS", func() policy.Policy { return policy.NewDWS(tau, damp) }},
+			{"PFF", func() policy.Policy { return policy.NewPFF(threshold) }},
+			{"SWS", func() policy.Policy { return policy.NewSWS(tau) }},
+			{"VSWS", func() policy.Policy { return policy.NewVSWS(max(1, tau/4), 2*tau, damp) }},
+			{"OPT", func() policy.Policy { return policy.NewOPT(pages, frames) }},
 		} {
 			runThreeWays(t, fmt.Sprintf("%s/%s", tr.Name, pc.name), tr, cdt3, pc.mk)
 		}

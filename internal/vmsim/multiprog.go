@@ -63,8 +63,7 @@ type MultiConfig struct {
 	// FaultService.
 	SwapInDelay int64
 	// Obs, when non-nil, receives job-tagged fault/swap/jobdone events
-	// (T is the global clock) and mix-level metrics. Nil falls back to
-	// DefaultObserver.
+	// (T is the global clock) and mix-level metrics.
 	Obs *obs.Observer
 }
 
@@ -107,9 +106,6 @@ func RunMulti(jobs []*Job, cfg MultiConfig) *MultiResult {
 	}
 	if cfg.SwapInDelay <= 0 {
 		cfg.SwapInDelay = policy.FaultService
-	}
-	if cfg.Obs == nil {
-		cfg.Obs = DefaultObserver
 	}
 	if !cfg.Obs.Enabled() {
 		cfg.Obs = nil

@@ -14,20 +14,13 @@ import (
 	"cdmm/internal/trace"
 )
 
-// DefaultObserver, when non-nil, observes every simulation that was not
-// handed an explicit observer — Run, the sweeps, and everything layered
-// on top of them (experiments, tables, reports). The CLI sets it for the
-// duration of a command when -events/-metrics are given; it is not safe
-// to change concurrently with running simulations.
-var DefaultObserver *obs.Observer
-
-// RunObserved is Run with an explicit observer. A nil o falls back to
-// DefaultObserver; if that is nil too (or observes nothing) the bare
-// un-instrumented loop runs, so observability-off costs nothing. An
-// observer whose Gate is closed (or that carries only a Progress
-// callback) takes the chunked fast path: full hot-path speed with
-// periodic progress delivery — the disabled-path pattern the live
-// telemetry server relies on when no client is connected.
+// RunObserved is Run with an explicit observer. A nil o (or one that
+// observes nothing) runs the bare un-instrumented loop, so
+// observability-off costs nothing. An observer whose Gate is closed (or
+// that carries only a Progress callback) takes the chunked fast path:
+// full hot-path speed with periodic progress delivery — the
+// disabled-path pattern the live telemetry server relies on when no
+// client is connected.
 func RunObserved(tr *trace.Trace, pol policy.Policy, o *obs.Observer) Result {
 	res, _ := RunSource(tr, pol, o) // in-memory cursors cannot fail
 	return res
@@ -44,8 +37,9 @@ func runInstrumented(src trace.Source, pol policy.Policy, o *obs.Observer) (Resu
 	meta := src.Meta()
 	hintPages(meta, pol)
 	tb := src.Tables()
-	res := Result{Policy: pol.Name(), Refs: meta.Refs}
+	name := pol.Name()
 	charger, _ := pol.(policy.Charger) // hoisted from policy.Charge
+	var acc policy.BlockResult
 
 	var (
 		cRefs, cFaults, cSwapSig, cLockRel *obs.Counter
@@ -67,7 +61,7 @@ func runInstrumented(src trace.Source, pol policy.Policy, o *obs.Observer) (Resu
 	closeHold := func(pg mem.Page) {
 		if t0, ok := lockAt[pg]; ok {
 			if hLock != nil {
-				hLock.Observe(float64(res.VirtualTime - t0))
+				hLock.Observe(float64(acc.VTime - t0))
 			}
 			delete(lockAt, pg)
 		}
@@ -79,32 +73,32 @@ func runInstrumented(src trace.Source, pol policy.Policy, o *obs.Observer) (Resu
 		saved := cd.Hooks
 		cd.Hooks = &policy.CDHooks{
 			AllocChange: func(prev, next int) {
-				o.Emit(obs.Event{Kind: obs.KindPhase, T: res.VirtualTime, Prev: prev, Alloc: next})
+				o.Emit(obs.Event{Kind: obs.KindPhase, T: acc.VTime, Prev: prev, Alloc: next})
 			},
 			SwapSignal: func() {
 				if cSwapSig != nil {
 					cSwapSig.Inc()
 				}
-				o.Emit(obs.Event{Kind: obs.KindSwap, T: res.VirtualTime, Why: "signal"})
+				o.Emit(obs.Event{Kind: obs.KindSwap, T: acc.VTime, Why: "signal"})
 			},
 			LockRelease: func(pg mem.Page) {
 				if cLockRel != nil {
 					cLockRel.Inc()
 				}
-				o.Emit(obs.Event{Kind: obs.KindLockRel, T: res.VirtualTime, Page: int(pg)})
+				o.Emit(obs.Event{Kind: obs.KindLockRel, T: acc.VTime, Page: int(pg)})
 				closeHold(pg)
 			},
 			Degrade: func(reason string) {
 				if o.Metrics != nil {
 					o.Metrics.Counter("degradations").Inc()
 				}
-				o.Emit(obs.Event{Kind: obs.KindDegrade, T: res.VirtualTime, Why: reason})
+				o.Emit(obs.Event{Kind: obs.KindDegrade, T: acc.VTime, Why: reason})
 			},
 		}
 		defer func() { cd.Hooks = saved }()
 	}
 
-	o.Emit(obs.Event{Kind: obs.KindRun, Label: res.Policy, Refs: meta.Refs})
+	o.Emit(obs.Event{Kind: obs.KindRun, Label: name, Refs: meta.Refs})
 
 	// The instrumented loop is already paying per-reference work, so
 	// progress rides on a cheap counter check instead of a capped block
@@ -123,25 +117,14 @@ func runInstrumented(src trace.Source, pol policy.Policy, o *obs.Observer) (Resu
 			fault := pol.Ref(pg)
 			refIdx++
 			if prog != nil && refIdx%progressChunk == 0 {
-				prog(refIdx, meta.Refs, res.VirtualTime)
+				prog(refIdx, meta.Refs, acc.VTime)
 			}
-			dt := int64(1)
-			if fault {
-				res.Faults++
-				dt += policy.FaultService
-			}
-			var m int
+			r := pol.Resident()
+			m := r
 			if charger != nil {
 				m = charger.Charged()
-			} else {
-				m = pol.Resident()
 			}
-			res.VirtualTime += dt
-			res.SpaceTime += float64(m) * float64(dt)
-			res.MemSum += float64(m)
-			if r := pol.Resident(); r > res.MaxResident {
-				res.MaxResident = r
-			}
+			acc.Add(fault, r, m)
 			if cRefs != nil {
 				cRefs.Inc()
 				hRes.Observe(float64(m))
@@ -149,13 +132,13 @@ func runInstrumented(src trace.Source, pol policy.Policy, o *obs.Observer) (Resu
 			if fault {
 				if cFaults != nil {
 					cFaults.Inc()
-					hInter.Observe(float64(res.VirtualTime - lastFaultVT))
+					hInter.Observe(float64(acc.VTime - lastFaultVT))
 				}
-				o.Emit(obs.Event{Kind: obs.KindFault, T: res.VirtualTime, I: refIdx, Page: int(pg), Res: m})
-				lastFaultVT = res.VirtualTime
+				o.Emit(obs.Event{Kind: obs.KindFault, T: acc.VTime, I: refIdx, Page: int(pg), Res: m})
+				lastFaultVT = acc.VTime
 			}
 			if m != prevCharge {
-				o.Emit(obs.Event{Kind: obs.KindRes, T: res.VirtualTime, I: refIdx, Res: m})
+				o.Emit(obs.Event{Kind: obs.KindRes, T: acc.VTime, I: refIdx, Res: m})
 				prevCharge = m
 			}
 		}
@@ -165,32 +148,27 @@ func runInstrumented(src trace.Source, pol policy.Policy, o *obs.Observer) (Resu
 		switch e := b.Dir; e.Kind {
 		case trace.EvAlloc:
 			d := tb.Alloc(e)
-			o.Emit(obs.Event{Kind: obs.KindAlloc, T: res.VirtualTime, Label: d.Label})
+			o.Emit(obs.Event{Kind: obs.KindAlloc, T: acc.VTime, Label: d.Label})
 			pol.Alloc(d)
 		case trace.EvLock:
 			ls := tb.Lock(e)
-			o.Emit(obs.Event{Kind: obs.KindLock, T: res.VirtualTime, PJ: ls.PJ, Site: ls.Site, Pages: len(ls.Pages)})
+			o.Emit(obs.Event{Kind: obs.KindLock, T: acc.VTime, PJ: ls.PJ, Site: ls.Site, Pages: len(ls.Pages)})
 			for _, pg := range ls.Pages {
 				if _, ok := lockAt[pg]; !ok {
-					lockAt[pg] = res.VirtualTime
+					lockAt[pg] = acc.VTime
 				}
 			}
 			pol.Lock(ls)
 		case trace.EvUnlock:
 			pages := tb.Unlock(e)
-			o.Emit(obs.Event{Kind: obs.KindUnlock, T: res.VirtualTime, Pages: len(pages)})
+			o.Emit(obs.Event{Kind: obs.KindUnlock, T: acc.VTime, Pages: len(pages)})
 			for _, pg := range pages {
 				closeHold(pg)
 			}
 			pol.Unlock(pages)
 		}
 	}
-	if cd := policy.AsCD(pol); cd != nil {
-		res.SwapSignals = cd.SwapSignals
-		res.LockReleases = cd.LockReleases
-		res.Degraded = cd.Degraded()
-		res.DegradedReason = cd.DegradedReason()
-	}
+	res := Finalize(pol, meta.Refs, &acc)
 	if reg := o.Metrics; reg != nil {
 		reg.Gauge("max_resident").Set(float64(res.MaxResident))
 		reg.Gauge("virtual_time").Set(float64(res.VirtualTime))
@@ -201,46 +179,4 @@ func runInstrumented(src trace.Source, pol policy.Policy, o *obs.Observer) (Resu
 	}
 	o.Emit(obs.Event{Kind: obs.KindEnd, T: res.VirtualTime, Refs: res.Refs, Faults: res.Faults, Mem: res.MEM()})
 	return res, cur.Err()
-}
-
-// SweepLRUObserved is SweepLRU emitting one summary event and metric
-// point per allocation into the observer (per-reference events would dwarf
-// the trace itself across V runs, so sweep points run un-instrumented).
-func SweepLRUObserved(tr *trace.Trace, maxFrames int, o *obs.Observer) []Result {
-	if o == nil {
-		o = DefaultObserver
-	}
-	refs := tr.RefsOnly()
-	out := make([]Result, maxFrames)
-	for m := 1; m <= maxFrames; m++ {
-		out[m-1] = runFast(refs, policy.NewLRU(m))
-		emitSweepPoint(o, out[m-1])
-	}
-	return out
-}
-
-// SweepWSObserved is SweepWS emitting one summary event and metric point
-// per window size into the observer.
-func SweepWSObserved(tr *trace.Trace, taus []int, o *obs.Observer) []Result {
-	if o == nil {
-		o = DefaultObserver
-	}
-	refs := tr.RefsOnly()
-	out := make([]Result, len(taus))
-	for i, tau := range taus {
-		out[i] = runFast(refs, policy.NewWS(tau))
-		emitSweepPoint(o, out[i])
-	}
-	return out
-}
-
-func emitSweepPoint(o *obs.Observer, r Result) {
-	if !o.Enabled() {
-		return
-	}
-	o.Emit(obs.Event{Kind: obs.KindSweep, Label: r.Policy, Refs: r.Refs, Faults: r.Faults, Mem: r.MEM(), ST: r.ST()})
-	if o.Metrics != nil {
-		o.Metrics.Counter("sweep_points").Inc()
-		o.Metrics.Histogram("sweep_st", obs.ExpBounds(1e3, 8, 12)).Observe(r.ST())
-	}
 }

@@ -80,59 +80,63 @@ func (r Result) String() string {
 }
 
 // Run replays the trace under the policy. The policy is Reset first, so a
-// single policy value can be reused across runs. When DefaultObserver is
-// set the run is observed; otherwise this is the bare fast path.
+// single policy value can be reused across runs. This is the bare fast
+// path; RunObserved attaches an observer.
 //
 // Run and RunObserved are safe for concurrent use with DISTINCT policy
 // values over the same (immutable) trace: the simulation mutates only
 // the policy and its own Result, never the trace. Concurrent runs that
 // share one policy value race on its state; give each goroutine its own.
-// Concurrent runs relying on the DefaultObserver fallback additionally
-// race on its tracer — pass per-run observers (as the engine package
-// does) when observing parallel runs.
+// Observed parallel runs need per-run observers (as the engine package
+// hands out) so their event streams do not interleave.
 func Run(tr *trace.Trace, pol policy.Policy) Result {
 	return RunObserved(tr, pol, nil)
 }
 
 // RunSource replays any reference-stream Source — an in-memory trace or
 // a chunked CDT3 file — under the policy, streaming block by block in
-// O(chunk) memory. Observation works as in RunObserved (nil o falls back
-// to DefaultObserver). The error is the cursor's: an on-disk source can
-// fail mid-stream (truncation, corruption, IO), in which case the Result
-// is valid up to the failure point. In-memory sources never fail.
+// O(chunk) memory. Observation works as in RunObserved: a nil o observes
+// nothing. The error is the cursor's: an on-disk source can fail
+// mid-stream (truncation, corruption, IO), in which case the Result is
+// valid up to the failure point. In-memory sources never fail.
 func RunSource(src trace.Source, pol policy.Policy, o *obs.Observer) (Result, error) {
-	if o == nil {
-		o = DefaultObserver
-	}
 	if !o.Enabled() {
 		return runBlocks(src, pol, obs.ProgressOf(o))
 	}
 	return runInstrumented(src, pol, o)
 }
 
-// hintPages pre-sizes a policy's dense page-indexed state from the
-// stream's page universe, seeing through Unwrap wrappers, so the first
-// replay assigns page slots without growth reallocations. Meta is O(1)
-// for every source, so the hint never materializes trace views.
-func hintPages(meta trace.Meta, pol policy.Policy) {
-	for p := pol; p != nil; {
-		if h, ok := p.(policy.PageHinter); ok {
-			h.HintPages(meta.MaxPage, meta.Distinct)
-			return
-		}
-		u, ok := p.(interface{ Unwrap() policy.Policy })
-		if !ok {
-			return
-		}
-		p = u.Unwrap()
+// Finalize builds a run's Result from the indexes accumulated over refs
+// references, adding the CD-specific counters when pol is (a wrapper
+// around) a CD policy. Every replay loop, and the sweep plane's grouped
+// pass, ends here.
+func Finalize(pol policy.Policy, refs int, acc *policy.BlockResult) Result {
+	res := Result{
+		Policy:      pol.Name(),
+		Refs:        refs,
+		Faults:      acc.Faults,
+		MaxResident: acc.MaxResident,
+		VirtualTime: acc.VTime,
+		SpaceTime:   float64(acc.SpaceTime),
+		MemSum:      float64(acc.MemSum),
 	}
+	if cd := policy.AsCD(pol); cd != nil {
+		res.SwapSignals = cd.SwapSignals
+		res.LockReleases = cd.LockReleases
+		res.Degraded = cd.Degraded()
+		res.DegradedReason = cd.DegradedReason()
+	}
+	return res
 }
 
-// runFast is the un-instrumented simulation loop — the hot path when
-// observability is off.
-func runFast(tr *trace.Trace, pol policy.Policy) Result {
-	res, _ := runBlocks(tr, pol, nil) // in-memory cursors cannot fail
-	return res
+// hintPages pre-sizes a policy's dense page-indexed state from the
+// stream's page universe, seeing through wrappers, so the first replay
+// assigns page slots without growth reallocations. Meta is O(1) for
+// every source, so the hint never materializes trace views.
+func hintPages(meta trace.Meta, pol policy.Policy) {
+	if h, ok := policy.As[policy.PageHinter](pol); ok {
+		h.HintPages(meta.MaxPage, meta.Distinct)
+	}
 }
 
 // progressChunk is how many trace events the fast path executes between
@@ -148,43 +152,24 @@ const progressChunk = 1 << 15
 // allocation even though the replay itself is allocation-free.
 var blockResultPool = sync.Pool{New: func() any { return new(policy.BlockResult) }}
 
-// applyDir feeds a block-closing directive event to the policy.
-func applyDir(pol policy.Policy, tb *trace.SideTables, e trace.Event) {
-	switch e.Kind {
-	case trace.EvAlloc:
-		pol.Alloc(tb.Alloc(e))
-	case trace.EvLock:
-		pol.Lock(tb.Lock(e))
-	case trace.EvUnlock:
-		pol.Unlock(tb.Unlock(e))
-	}
-}
-
 // runBlocks is the un-instrumented simulation loop, streaming the source
 // block by block with an optional periodic progress callback. Policies
 // implementing policy.BlockStepper replay each directive-free run of
-// references in one call — loop-invariant work (interface dispatch,
+// references in one call, so loop-invariant work (interface dispatch,
 // fixed-partition charges, degraded checks) hoists out of the per-
-// reference path; other policies fall back to per-reference stepping
-// inside the same block loop, and the old per-reference accounting
-// remains available as the differential oracle (see RunChecked and the
-// blockstep tests).
+// reference path; other policies (wrappers) take the per-reference
+// policy.StepRefs inside the same block loop.
 //
-// The indexes accumulate in int64: every charge and time step is an
-// integer, so the sums are exact (the float64 Result fields would start
-// rounding past 2^53). prog receives the event index reached (out of
-// Meta().Events) and the virtual time; a nil prog leaves blocks at the
-// source's natural size, a non-nil one caps them at progressChunk so
-// callbacks fire at a steady cadence.
+// prog receives the event index reached (out of Meta().Events) and the
+// virtual time; a nil prog leaves blocks at the source's natural size, a
+// non-nil one caps them at progressChunk so callbacks fire at a steady
+// cadence.
 func runBlocks(src trace.Source, pol policy.Policy, prog obs.ProgressFunc) (Result, error) {
 	pol.Reset()
 	meta := src.Meta()
 	hintPages(meta, pol)
 	tb := src.Tables()
-	res := Result{Policy: pol.Name(), Refs: meta.Refs}
-	charger, _ := pol.(policy.Charger) // hoisted from policy.Charge
 	bst, isBlock := pol.(policy.BlockStepper)
-	st, isStepper := pol.(policy.Stepper)
 
 	opts := trace.CursorOpts{}
 	if prog != nil {
@@ -199,47 +184,13 @@ func runBlocks(src trace.Source, pol policy.Policy, prog obs.ProgressFunc) (Resu
 	defer blockResultPool.Put(out)
 	done := 0 // events consumed, for progress reporting
 	step := func(b trace.Block) bool {
-		switch {
-		case isBlock:
+		if isBlock {
 			bst.StepBlock(b.Pages, out)
-		case isStepper:
-			// One dynamic dispatch per reference instead of three.
-			for _, pg := range b.Pages {
-				fault, r, m := st.Step(pg)
-				dt := int64(1)
-				if fault {
-					out.Faults++
-					dt += policy.FaultService
-				}
-				if r > out.MaxResident {
-					out.MaxResident = r
-				}
-				out.VTime += dt
-				out.SpaceTime += int64(m) * dt
-				out.MemSum += int64(m)
-			}
-		default:
-			for _, pg := range b.Pages {
-				fault := pol.Ref(pg)
-				dt := int64(1)
-				if fault {
-					out.Faults++
-					dt += policy.FaultService
-				}
-				m := pol.Resident()
-				if m > out.MaxResident {
-					out.MaxResident = m
-				}
-				if charger != nil {
-					m = charger.Charged()
-				}
-				out.VTime += dt
-				out.SpaceTime += int64(m) * dt
-				out.MemSum += int64(m)
-			}
+		} else {
+			policy.StepRefs(pol, b.Pages, out)
 		}
 		if b.HasDir {
-			applyDir(pol, tb, b.Dir)
+			policy.ApplyDir(pol, tb, b.Dir)
 		}
 		if prog != nil {
 			done += b.Events()
@@ -266,30 +217,29 @@ func runBlocks(src trace.Source, pol policy.Policy, prog obs.ProgressFunc) (Resu
 		// The stream ended early (cursor error): report where it stopped.
 		prog(done, meta.Events, out.VTime)
 	}
-	res.Faults = out.Faults
-	res.MaxResident = out.MaxResident
-	res.VirtualTime = out.VTime
-	res.SpaceTime = float64(out.SpaceTime)
-	res.MemSum = float64(out.MemSum)
-	if cd := policy.AsCD(pol); cd != nil {
-		res.SwapSignals = cd.SwapSignals
-		res.LockReleases = cd.LockReleases
-		res.Degraded = cd.Degraded()
-		res.DegradedReason = cd.DegradedReason()
-	}
-	return res, walkErr
+	return Finalize(pol, meta.Refs, out), walkErr
 }
 
 // SweepLRU runs LRU at every allocation in [1, maxFrames] and returns the
 // results indexed by allocation-1. The paper varies the LRU allocation
 // between 1 and V.
 func SweepLRU(tr *trace.Trace, maxFrames int) []Result {
-	return SweepLRUObserved(tr, maxFrames, nil)
+	refs := tr.RefsOnly()
+	out := make([]Result, maxFrames)
+	for m := 1; m <= maxFrames; m++ {
+		out[m-1] = Run(refs, policy.NewLRU(m))
+	}
+	return out
 }
 
 // SweepWS runs the Working Set policy at each window size in taus.
 func SweepWS(tr *trace.Trace, taus []int) []Result {
-	return SweepWSObserved(tr, taus, nil)
+	refs := tr.RefsOnly()
+	out := make([]Result, len(taus))
+	for i, tau := range taus {
+		out[i] = Run(refs, policy.NewWS(tau))
+	}
+	return out
 }
 
 // DefaultTaus builds the WS window-size sweep for a trace of length R:
