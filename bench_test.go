@@ -13,7 +13,6 @@ package cdmm_test
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 
 	"cdmm/internal/bli"
@@ -336,27 +335,6 @@ func BenchmarkMultiprog(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkCompile measures the full compiler pipeline (parse through
-// directive insertion and trace generation) per workload.
-func BenchmarkCompile(b *testing.B) {
-	for _, w := range workloads.All() {
-		w := w
-		b.Run(w.Name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				// Bypass the cache with a per-iteration clone name.
-				clone := &workloads.Program{
-					Name:   fmt.Sprintf("%s-bench-%d", w.Name, i),
-					Source: w.Source,
-					Sets:   w.Sets,
-				}
-				if _, err := workloads.Compile(clone); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkPolicyFamily compares CD against the whole §1 policy family —

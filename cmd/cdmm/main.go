@@ -383,6 +383,7 @@ func cmdSim(args []string) error {
 			default:
 				return fmt.Errorf("unknown policy %q", *polName)
 			}
+			setResultGauges(res)
 			fmt.Println(p.Summary())
 			fmt.Println(res)
 			return nil
@@ -891,6 +892,7 @@ func cmdReplay(args []string) error {
 		if err != nil {
 			return err
 		}
+		setResultGauges(res)
 		fmt.Printf("%s: R=%d references, V=%d distinct pages, %d directive events\n",
 			meta.Name, meta.Refs, meta.Distinct, meta.Events-meta.Refs)
 		fmt.Println(res)

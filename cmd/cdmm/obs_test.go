@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -152,5 +153,81 @@ func TestCmdTablesEventsDeterministicAcrossJ(t *testing.T) {
 	}
 	if !bytes.Equal(a, b) {
 		t.Errorf("event streams differ between -j 1 (%d bytes) and -j 8 (%d bytes)", len(a), len(b))
+	}
+}
+
+// TestCmdTableMetricsDeterministicAcrossRuns regenerates Table 1 with
+// an event trace and a metrics snapshot at -j 2, twice: the snapshots
+// must be byte-identical. The per-run gauges (max_resident,
+// virtual_time, mem_avg) describe one simulation, so a table command,
+// whose runs share the registry and finish in any order at -j > 1, must
+// not carry them at all; sim and replay set them from their single
+// result. (Table 1 has nine such runs; an instrumented Table 2 takes
+// tens of seconds and writes a ~1 GB event trace.)
+func TestCmdTableMetricsDeterministicAcrossRuns(t *testing.T) {
+	dir := t.TempDir()
+	var snaps [2][]byte
+	for i := range snaps {
+		ev := filepath.Join(dir, fmt.Sprintf("e%d.jsonl", i))
+		met := filepath.Join(dir, fmt.Sprintf("m%d.json", i))
+		if err := cmdTables("table1", []string{"-j", "2", "-events", ev, "-metrics", met}); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(met)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snaps[i] = raw
+	}
+	if !bytes.Equal(snaps[0], snaps[1]) {
+		t.Errorf("metrics snapshots differ between two -j 2 runs:\n%s\n%s", snaps[0], snaps[1])
+	}
+	var snap struct {
+		Gauges map[string]float64 `json:"gauges"`
+	}
+	if err := json.Unmarshal(snaps[0], &snap); err != nil {
+		t.Fatalf("metrics file is not valid JSON: %v", err)
+	}
+	for _, g := range []string{"max_resident", "virtual_time", "mem_avg"} {
+		if v, ok := snap.Gauges[g]; ok {
+			t.Errorf("table1 metrics carry the single-run gauge %s = %v", g, v)
+		}
+	}
+}
+
+// TestCmdSimMetricsGauges checks that a single simulation still reports
+// its result in the per-run gauges.
+func TestCmdSimMetricsGauges(t *testing.T) {
+	met := filepath.Join(t.TempDir(), "m.json")
+	if err := cmdSim([]string{"HWSCRT", "-policy", "cd", "-level", "2", "-metrics", met}); err != nil {
+		t.Fatal(err)
+	}
+	p, err := loadProgram("HWSCRT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.RunCD(core.CDOptions{Level: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(met)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap struct {
+		Gauges map[string]float64 `json:"gauges"`
+	}
+	if err := json.Unmarshal(raw, &snap); err != nil {
+		t.Fatalf("metrics file is not valid JSON: %v", err)
+	}
+	want := map[string]float64{
+		"max_resident": float64(res.MaxResident),
+		"virtual_time": float64(res.VirtualTime),
+		"mem_avg":      res.MEM(),
+	}
+	for g, v := range want {
+		if got, ok := snap.Gauges[g]; !ok || got != v {
+			t.Errorf("gauge %s = %v (present %v), want %v", g, got, ok, v)
+		}
 	}
 }

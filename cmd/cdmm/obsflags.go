@@ -12,6 +12,7 @@ import (
 	"cdmm/internal/kernel"
 	"cdmm/internal/obs"
 	"cdmm/internal/serve"
+	"cdmm/internal/vmsim"
 )
 
 // obsFlags holds the observability flags shared by sim, replay, profile
@@ -168,6 +169,20 @@ func (f *obsFlags) finish() error {
 		}
 	}
 	return first
+}
+
+// setResultGauges records a single run's result in the -metrics
+// registry. Only the single-run commands (sim, replay) call it: a table
+// command's runs share one registry, and at -j > 1 the gauges would hold
+// whichever run happened to finish last.
+func setResultGauges(res vmsim.Result) {
+	if cmdObserver == nil || cmdObserver.Metrics == nil {
+		return
+	}
+	reg := cmdObserver.Metrics
+	reg.Gauge("max_resident").Set(float64(res.MaxResident))
+	reg.Gauge("virtual_time").Set(float64(res.VirtualTime))
+	reg.Gauge("mem_avg").Set(res.MEM())
 }
 
 // withObs parses nothing itself: it runs body between activate and

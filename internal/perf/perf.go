@@ -11,12 +11,14 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
 
 	"cdmm/internal/engine"
+	"cdmm/internal/interp"
 	"cdmm/internal/kernel"
 	"cdmm/internal/obs"
 	"cdmm/internal/policy"
@@ -53,7 +55,7 @@ type Baseline struct {
 	// ServeOverhead is the fractional ns/ref cost of attaching an
 	// unwatched telemetry observer (gated tracer+metrics with no client
 	// connected, plus the chunked progress callback) to the CD hot path:
-	// (served - plain) / plain, each the min over alternating windows.
+	// (served - plain) / plain, median of interleaved pair ratios.
 	ServeOverhead float64 `json:"serve_overhead"`
 	// AttrOverhead is the fractional ns/ref cost the un-instrumented
 	// fast path pays for a trace that merely *carries* the site
@@ -63,17 +65,19 @@ type Baseline struct {
 	AttrOverhead float64 `json:"attr_overhead"`
 	// TelemetryOverhead is the fractional cost the kernel pays for the
 	// full telemetry plane (histograms, heavy-hitter sketches, SLO
-	// counters, flight recorder) when nobody is watching: (telemetry-on -
-	// plain) / plain over full kernel runs, median of interleaved pair
-	// ratios. The plane is shard-local integer state, so this must stay
+	// counters, flight recorder) when nobody is watching, over full
+	// kernel runs: the larger of (telemetry-on - plain) / plain time,
+	// median of interleaved pair ratios with the collector paused, and
+	// the same ratio of bytes allocated, which bounds the collector's
+	// share. The plane is shard-local integer state, so this must stay
 	// small.
 	TelemetryOverhead float64 `json:"telemetry_overhead"`
 	// SweepSpeedupLRU and SweepSpeedupWS are the wall-clock ratios of
 	// the per-cell Table 2 capacity columns (one vmsim replay per LRU
 	// allocation 1..V; one per τ of the default ladder) to the one-pass
-	// sweep curves that replace them, min-of-k timed on CONDUCT. The
-	// sweep plane's reason to exist is this ratio; Compare fails when it
-	// drops under SweepSpeedupMin.
+	// sweep curves that replace them, median of interleaved pair ratios
+	// on CONDUCT. The sweep plane's reason to exist is this ratio;
+	// Compare fails when it drops under SweepSpeedupMin.
 	SweepSpeedupLRU float64 `json:"sweep_speedup_lru"`
 	SweepSpeedupWS  float64 `json:"sweep_speedup_ws"`
 }
@@ -173,6 +177,9 @@ func Collect(quick bool) (*Baseline, error) {
 		return nil, err
 	}
 	if err := collectTelemetryOverhead(b, target); err != nil {
+		return nil, err
+	}
+	if err := collectInterp(b, target); err != nil {
 		return nil, err
 	}
 	return b, nil
@@ -292,41 +299,28 @@ func collectSweepCurves(b *Baseline, target time.Duration) error {
 	cs.Faults = ws.Faults(1000)
 	b.Cases = append(b.Cases, cs)
 
-	// Speedups: min-of-k wall clock of the per-cell column over the
-	// curve, k small because the cell side replays the trace V (or
-	// len(taus)) times per sample.
-	curveLRU := minTime(3, func() {
-		if _, err := sweep.NewLRU(tr); err != nil {
-			panic(err)
-		}
-	})
-	cellLRU := minTime(2, func() { vmsim.SweepLRU(tr, v) })
-	curveWS := minTime(3, func() {
-		s, err := sweep.NewWS(tr)
-		if err != nil {
-			panic(err)
-		}
-		if _, err := s.Curve(taus); err != nil {
-			panic(err)
-		}
-	})
-	cellWS := minTime(2, func() { vmsim.SweepWS(tr, taus) })
-	b.SweepSpeedupLRU = float64(cellLRU.Nanoseconds()) / float64(curveLRU.Nanoseconds())
-	b.SweepSpeedupWS = float64(cellWS.Nanoseconds()) / float64(curveWS.Nanoseconds())
+	// Speedups: the median over interleaved (curve, column) pairs of the
+	// per-cell column's time over the curve's. Few pairs, because the
+	// column side replays the trace V (or len(taus)) times per sample.
+	b.SweepSpeedupLRU = pairedRatio(0, 5, nil,
+		func() {
+			if _, err := sweep.NewLRU(tr); err != nil {
+				panic(err)
+			}
+		},
+		func() { vmsim.SweepLRU(tr, v) })
+	b.SweepSpeedupWS = pairedRatio(0, 5, nil,
+		func() {
+			s, err := sweep.NewWS(tr)
+			if err != nil {
+				panic(err)
+			}
+			if _, err := s.Curve(taus); err != nil {
+				panic(err)
+			}
+		},
+		func() { vmsim.SweepWS(tr, taus) })
 	return nil
-}
-
-// minTime returns the fastest of k timed runs of fn.
-func minTime(k int, fn func()) time.Duration {
-	var best time.Duration
-	for i := 0; i < k; i++ {
-		t0 := time.Now()
-		fn()
-		if d := time.Since(t0); i == 0 || d < best {
-			best = d
-		}
-	}
-	return best
 }
 
 // collectStreamDecode measures the chunked CDT3 decode path: a cursor
@@ -416,8 +410,8 @@ func servedObserver() *obs.Observer {
 }
 
 // collectServeOverhead measures the CD hot path plain and with an
-// unwatched telemetry observer attached, alternating min-of-k windows
-// so scheduler noise cancels, and anchors that the served run's fault
+// unwatched telemetry observer attached, in interleaved pairs so
+// scheduler noise cancels, and anchors that the served run's fault
 // count is identical (attaching a server must not change results).
 func collectServeOverhead(b *Baseline, target time.Duration) error {
 	w, err := workloads.Get("CONDUCT")
@@ -437,20 +431,44 @@ func collectServeOverhead(b *Baseline, target time.Duration) error {
 		return fmt.Errorf("perf: serve-attached CD run drifted: PF %d, want %d",
 			servedRes.Faults, plainRes.Faults)
 	}
-	// Alternate single plain/served runs and take the median of the
-	// per-pair time ratios: the two runs of a pair are adjacent in time,
-	// so frequency scaling and scheduler drift cancel within each pair,
-	// and the median discards the pairs a descheduling corrupted.
-	var ratios []float64
-	deadline := time.Now().Add(2 * target)
-	for len(ratios) < 8 || time.Now().Before(deadline) {
+	b.ServeOverhead = pairedRatio(6*target, 8, nil,
+		func() { vmsim.Run(tr, pol) },
+		func() { vmsim.RunObserved(tr, pol, o) }) - 1
+	return nil
+}
+
+// pairedRatio returns the median over adjacent (base, other) pairs of
+// other's time over base's, sampled for at least window and minPairs
+// pairs; an overhead is this ratio minus one. The two runs of a pair
+// are adjacent in time, so frequency scaling and scheduler drift cancel
+// within it, and the median discards the pairs a descheduling
+// corrupted. Odd pairs run other first, so neither side systematically
+// pays for running second. prep, when non-nil, runs untimed before
+// every timed run. The median's spread shrinks with the square root of
+// the pair count: on a shared 2-vCPU machine with a second CPU-bound
+// process, the quick-mode overhead windows (1.5 s of CD runs, 4 s of
+// kernel runs) keep it within about ±0.5 points.
+func pairedRatio(window time.Duration, minPairs int, prep, base, other func()) float64 {
+	timed := func(fn func()) float64 {
+		if prep != nil {
+			prep()
+		}
 		t0 := time.Now()
-		vmsim.Run(tr, pol)
-		plain := time.Since(t0)
-		t0 = time.Now()
-		vmsim.RunObserved(tr, pol, o)
-		served := time.Since(t0)
-		ratios = append(ratios, float64(served.Nanoseconds())/float64(plain.Nanoseconds()))
+		fn()
+		return float64(time.Since(t0).Nanoseconds())
+	}
+	var ratios []float64
+	deadline := time.Now().Add(window)
+	for len(ratios) < minPairs || time.Now().Before(deadline) {
+		var a, b float64
+		if len(ratios)%2 == 0 {
+			a = timed(base)
+			b = timed(other)
+		} else {
+			b = timed(other)
+			a = timed(base)
+		}
+		ratios = append(ratios, b/a)
 	}
 	sort.Float64s(ratios)
 	mid := len(ratios) / 2
@@ -458,8 +476,7 @@ func collectServeOverhead(b *Baseline, target time.Duration) error {
 	if len(ratios)%2 == 0 {
 		median = (ratios[mid-1] + ratios[mid]) / 2
 	}
-	b.ServeOverhead = median - 1
-	return nil
+	return median
 }
 
 // collectAttrOverhead measures the CD hot path on the site-carrying
@@ -494,24 +511,9 @@ func collectAttrOverhead(b *Baseline, target time.Duration) error {
 	if err := led.Conservation(); err != nil {
 		return err
 	}
-	var ratios []float64
-	deadline := time.Now().Add(2 * target)
-	for len(ratios) < 8 || time.Now().Before(deadline) {
-		t0 := time.Now()
-		vmsim.Run(siteless, pol)
-		plain := time.Since(t0)
-		t0 = time.Now()
-		vmsim.Run(sited, pol)
-		carrying := time.Since(t0)
-		ratios = append(ratios, float64(carrying.Nanoseconds())/float64(plain.Nanoseconds()))
-	}
-	sort.Float64s(ratios)
-	mid := len(ratios) / 2
-	median := ratios[mid]
-	if len(ratios)%2 == 0 {
-		median = (ratios[mid-1] + ratios[mid]) / 2
-	}
-	b.AttrOverhead = median - 1
+	b.AttrOverhead = pairedRatio(6*target, 8, nil,
+		func() { vmsim.Run(siteless, pol) },
+		func() { vmsim.Run(sited, pol) }) - 1
 	return nil
 }
 
@@ -546,19 +548,37 @@ func collectKernelStep(b *Baseline, target time.Duration) error {
 }
 
 // collectTelemetryOverhead measures the kernel plain and with the full
-// telemetry plane on (no store attached — the unwatched configuration),
-// interleaving pairs and taking the median ratio like the other
-// overhead gates. It also anchors that telemetry does not perturb the
-// run: the instrumented kernel's fault count must match the plain one.
+// telemetry plane on (no store attached — the unwatched configuration).
+// It also anchors that telemetry does not perturb the run: the
+// instrumented kernel's fault count must match the plain one.
 // Full-length workloads, unlike kernel_step's quarter-scale ones: the
 // plane's cost is dominated by the fixed end-of-run merge and snapshot,
 // so a short scaled run would overstate the ratio a real population
 // pays.
+//
+// The overhead is the larger of two ratios. The time ratio comes from
+// paired runs with the collector paused, each starting from a freshly
+// collected heap. A kernel run allocates ~11 MB and its collector
+// cycles are whole: the pacer starts three or four per run, so which
+// side of a pair gets the extra cycle swings a wall-clock ratio by
+// several percent, and a run sitting near a cycle boundary charges a
+// few kilobytes of telemetry for a whole cycle. The collector's share
+// of the cost is instead bounded by the allocation ratio (telemetry-on
+// bytes over plain bytes), since collection work scales with bytes
+// allocated. The true cost is a mix of the two ratios weighted by the
+// collector's share of the run, so their maximum bounds it.
 func collectTelemetryOverhead(b *Baseline, target time.Duration) error {
 	plain := kernel.Config{Tenants: 96, Shards: 2, Seed: 1}
 	instr := plain
 	instr.Telemetry = true
 	eng := engine.New(1)
+	run := func(cfg kernel.Config) func() {
+		return func() {
+			if _, err := kernel.Run(cfg, eng); err != nil {
+				panic(err)
+			}
+		}
+	}
 	plainRes, err := kernel.Run(plain, eng)
 	if err != nil {
 		return err
@@ -574,47 +594,61 @@ func collectTelemetryOverhead(b *Baseline, target time.Duration) error {
 	if instrRes.Telemetry == nil {
 		return fmt.Errorf("perf: telemetry on but no snapshot collected")
 	}
-	// Unrecorded warm-up pairs grow the heap to its steady state before
-	// anything is timed — the first instrumented runs otherwise pay the
-	// one-time heap growth for the plane's buffers and bias the ratio.
-	for i := 0; i < 2; i++ {
-		if _, err := kernel.Run(plain, eng); err != nil {
-			return err
-		}
-		if _, err := kernel.Run(instr, eng); err != nil {
-			return err
-		}
-	}
-	runtime.GC()
-	// Alternate plain and instrumented runs and compare the *minimum*
-	// time of each: both workloads are deterministic, so the minimum over
-	// many runs converges on the true cost, and scheduler or GC noise —
-	// which only ever adds time — cannot bias the ratio the way it smears
-	// a median of pair ratios on a loaded machine.
+	allocRatio := allocatedBytes(run(instr)) / allocatedBytes(run(plain))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	// The window is longer than the other collectors': each sample is a
-	// whole kernel run, and the min needs enough draws on both sides to
-	// land in an uncontended scheduling slot.
-	minOff, minOn := time.Duration(1<<62), time.Duration(1<<62)
-	pairs := 0
-	deadline := time.Now().Add(6 * target)
-	for pairs < 32 || time.Now().Before(deadline) {
-		t0 := time.Now()
-		if _, err := kernel.Run(plain, eng); err != nil {
-			return err
-		}
-		if d := time.Since(t0); d < minOff {
-			minOff = d
-		}
-		t0 = time.Now()
-		if _, err := kernel.Run(instr, eng); err != nil {
-			return err
-		}
-		if d := time.Since(t0); d < minOn {
-			minOn = d
-		}
-		pairs++
+	// whole kernel run.
+	timeRatio := pairedRatio(16*target, 32, runtime.GC, run(plain), run(instr))
+	b.TelemetryOverhead = max(timeRatio, allocRatio) - 1
+	return nil
+}
+
+// allocatedBytes returns the bytes fn allocates, the least over three
+// calls (the first may pay one-time growth).
+func allocatedBytes(fn func()) float64 {
+	least := uint64(1<<63 - 1)
+	var before, after runtime.MemStats
+	for i := 0; i < 3; i++ {
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
 	}
-	b.TelemetryOverhead = float64(minOn.Nanoseconds())/float64(minOff.Nanoseconds()) - 1
+	return float64(least)
+}
+
+// collectInterp measures trace generation: interp.Run over the nine
+// programs with the directive plan and the site side-band on, as
+// workloads.Compile runs it. The front end comes from the compile cache
+// and is not timed. The anchor is the number of references generated,
+// which the tables' fault counts are computed from.
+func collectInterp(b *Baseline, target time.Duration) error {
+	var compiled []*workloads.Compiled
+	for _, w := range workloads.All() {
+		c, err := workloads.Compile(w)
+		if err != nil {
+			return err
+		}
+		compiled = append(compiled, c)
+	}
+	run := func() int {
+		refs := 0
+		for _, c := range compiled {
+			tr, err := interp.Run(c.Info, interp.Config{Layout: c.Layout, Plan: c.Plan, Sites: true})
+			if err != nil {
+				panic(err)
+			}
+			refs += tr.Refs
+		}
+		return refs
+	}
+	refs := run()
+	cs := measure(target, refs, func() { run() })
+	cs.Name = "interp"
+	cs.Workload = fmt.Sprintf("suite/%d", len(compiled))
+	cs.Refs = refs
+	cs.Faults = refs
+	b.Cases = append(b.Cases, cs)
 	return nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 func mkBaseline(cases ...Case) *Baseline {
@@ -116,6 +117,15 @@ func TestCollectQuick(t *testing.T) {
 			}
 			continue
 		}
+		if c.Name == "interp" {
+			// Trace generation builds its whole result (the compiled
+			// closures, the trace's column chunks, the LOCK page sets),
+			// so it allocates by design; the bound keeps it amortized.
+			if c.AllocsPerRef > 0.05 {
+				t.Fatalf("%s: trace generation allocates %.4f allocs/ref, want amortized < 0.05", c.Name, c.AllocsPerRef)
+			}
+			continue
+		}
 		if c.Name == "kernel_step" {
 			// End-to-end case: each iteration synthesizes and materializes
 			// the tenant population, so it allocates by design — but the
@@ -162,6 +172,35 @@ func TestCollectQuick(t *testing.T) {
 	}
 	if _, regs := Compare(b, b2, 10); len(regs) != 0 { // huge threshold: only anchors can fail
 		t.Fatalf("fault anchors unstable: %v", regs)
+	}
+}
+
+// spinSink keeps spin's loop from being optimized away.
+var spinSink uint64
+
+// spin does n steps of fixed integer work, so its cost is proportional
+// to n on any machine.
+func spin(n int) {
+	x := spinSink | 1
+	for i := 0; i < n; i++ {
+		x = x*6364136223846793005 + 1442695040888963407
+	}
+	spinSink = x
+}
+
+// TestPairedOverheadDetectsInjectedSlowdown checks the estimator behind
+// the overhead gates against known answers: identical work reads below
+// the tightest ceiling, and 10% more work reads above the loosest.
+func TestPairedOverheadDetectsInjectedSlowdown(t *testing.T) {
+	const n = 200_000
+	same := pairedRatio(300*time.Millisecond, 32, nil, func() { spin(n) }, func() { spin(n) }) - 1
+	if same > ServeOverheadMax || same < -ServeOverheadMax {
+		t.Errorf("identical work estimated at %+.2f%%, want within ±%.0f%%", 100*same, 100*ServeOverheadMax)
+	}
+	slower := pairedRatio(300*time.Millisecond, 32, nil, func() { spin(n) }, func() { spin(n + n/10) }) - 1
+	t.Logf("identical work %+.2f%%, 10%% more work %+.2f%%", 100*same, 100*slower)
+	if slower < TelemetryOverheadMax {
+		t.Errorf("10%% more work estimated at %+.2f%%, want above the +%.0f%% ceiling", 100*slower, 100*TelemetryOverheadMax)
 	}
 }
 

@@ -1,7 +1,6 @@
 package policy
 
 import (
-	"container/heap"
 	"fmt"
 
 	"cdmm/internal/mem"
@@ -29,13 +28,50 @@ type optEntry struct {
 	next int
 }
 
+// optHeap is a binary max-heap on next use. It moves entries exactly as
+// container/heap does (sift-up on push; swap the root to the end and
+// sift down on pop), so entries with equal next uses leave in the same
+// order, but stores them unboxed: container/heap's interface costs an
+// allocation per reference.
 type optHeap []optEntry
 
-func (h optHeap) Len() int           { return len(h) }
-func (h optHeap) Less(i, j int) bool { return h[i].next > h[j].next }
-func (h optHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *optHeap) Push(x any)        { *h = append(*h, x.(optEntry)) }
-func (h *optHeap) Pop() any          { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
+func (h optHeap) less(i, j int) bool { return h[i].next > h[j].next }
+
+func (h *optHeap) push(e optEntry) {
+	*h = append(*h, e)
+	s := *h
+	for j := len(s) - 1; j > 0; {
+		i := (j - 1) / 2 // parent
+		if !s.less(j, i) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		j = i
+	}
+}
+
+func (h *optHeap) pop() optEntry {
+	s := *h
+	n := len(s) - 1
+	s[0], s[n] = s[n], s[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && s.less(j2, j) {
+			j = j2 // right child
+		}
+		if !s.less(j, i) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		i = j
+	}
+	e := s[n]
+	*h = s[:n]
+	return e
+}
 
 // NewOPT builds the oracle for the given reference string and allocation.
 func NewOPT(refs []mem.Page, frames int) *OPT {
@@ -77,22 +113,22 @@ func (p *OPT) Ref(pg mem.Page) bool {
 
 	if _, ok := p.resident[pg]; ok {
 		p.resident[pg] = nxt
-		heap.Push(&p.h, optEntry{page: pg, next: nxt})
+		p.h.push(optEntry{page: pg, next: nxt})
 		return false
 	}
 	if len(p.resident) >= p.frames {
 		p.evict()
 	}
 	p.resident[pg] = nxt
-	heap.Push(&p.h, optEntry{page: pg, next: nxt})
+	p.h.push(optEntry{page: pg, next: nxt})
 	return true
 }
 
 // evict removes the resident page with the farthest next use, skipping
 // stale heap entries.
 func (p *OPT) evict() {
-	for p.h.Len() > 0 {
-		e := heap.Pop(&p.h).(optEntry)
+	for len(p.h) > 0 {
+		e := p.h.pop()
 		if cur, ok := p.resident[e.page]; ok && cur == e.next {
 			delete(p.resident, e.page)
 			return

@@ -53,19 +53,28 @@ func (t *Trace) AddSite(s Site) int32 {
 // enables the site column; events appended before that point are
 // backfilled as NoSite.
 func (t *Trace) SetSite(id int32) {
-	t.enableSites()
+	if !t.sitesOn {
+		t.enableSites()
+	}
 	t.curSite = id
 }
 
 // enableSites turns the site column on, backfilling events recorded
-// before the column existed.
+// before the column existed. It is kept out of line so that SetSite, a
+// per-reference call, stays inlinable.
+//
+//go:noinline
 func (t *Trace) enableSites() {
 	if t.sitesOn {
 		return
 	}
 	t.sitesOn = true
 	t.curSite = NoSite
-	if n := len(t.Events); n > 0 {
+	n := len(t.Events)
+	for _, c := range t.evChunks {
+		n += len(c)
+	}
+	if n > 0 {
 		t.appendSiteRun(int32(n), NoSite)
 	}
 }
@@ -87,7 +96,7 @@ func (t *Trace) appendSiteRun(n, site int32) {
 		t.siteRuns[last].n += n
 		return
 	}
-	t.siteRuns = append(t.siteRuns, siteRun{n: n, site: site})
+	t.siteRuns = append(room(t.chunked, t.siteRuns, &t.runChunks), siteRun{n: n, site: site})
 }
 
 // HasSites reports whether the trace carries a site column.

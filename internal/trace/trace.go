@@ -71,7 +71,7 @@ type Trace struct {
 	Distinct int
 
 	allocIndex map[*directive.Allocate]int32
-	seen       map[mem.Page]bool
+	seen       pageSet
 
 	// maxSeen tracks the largest referenced page incrementally (valid
 	// while maxKnown), so MaxPage and the streaming Meta view are O(1)
@@ -87,6 +87,13 @@ type Trace struct {
 	siteRuns []siteRun
 	curSite  int32
 	sitesOn  bool
+
+	// Chunked column state of a trace under construction by a Builder
+	// (builder.go): the full chunks set aside from Events and siteRuns,
+	// which then hold only the tails.
+	chunked   bool
+	evChunks  [][]Event
+	runChunks [][]siteRun
 
 	// mu guards the memoized views derived from Events (reference string,
 	// page universe, directive-free trace). The caches key on len(Events),
@@ -142,7 +149,6 @@ func New(name string) *Trace {
 	return &Trace{
 		Name:       name,
 		allocIndex: map[*directive.Allocate]int32{},
-		seen:       map[mem.Page]bool{},
 		curSite:    NoSite,
 		maxSeen:    -1,
 		maxKnown:   true,
@@ -151,16 +157,51 @@ func New(name string) *Trace {
 
 // AddRef appends a page reference.
 func (t *Trace) AddRef(p mem.Page) {
-	t.Events = append(t.Events, Event{Kind: EvRef, Arg: int32(p)})
+	t.Events = append(room(t.chunked, t.Events, &t.evChunks), Event{Kind: EvRef, Arg: int32(p)})
 	t.noteSite()
 	t.Refs++
 	if t.maxKnown && p > t.maxSeen {
 		t.maxSeen = p
 	}
-	if !t.seen[p] {
-		t.seen[p] = true
+	if t.seen.add(p) {
 		t.Distinct++
 	}
+}
+
+// pageSet is the set of pages a trace has referenced, behind Distinct: a
+// dense bitset grown to the largest page seen, with a map for pages at
+// or above pageSetMaxDense (and negative ones), so a wild page number
+// cannot allocate a huge table. The zero value is an empty set.
+type pageSet struct {
+	bits   []uint64
+	sparse map[mem.Page]struct{}
+}
+
+// pageSetMaxDense bounds the dense bitset to 512 KiB.
+const pageSetMaxDense = 1 << 22
+
+// add inserts p and reports whether it was new.
+func (s *pageSet) add(p mem.Page) bool {
+	if p < 0 || p >= pageSetMaxDense {
+		if _, ok := s.sparse[p]; ok {
+			return false
+		}
+		if s.sparse == nil {
+			s.sparse = map[mem.Page]struct{}{}
+		}
+		s.sparse[p] = struct{}{}
+		return true
+	}
+	w, bit := int(p>>6), uint64(1)<<(p&63)
+	if w >= len(s.bits) {
+		n := max(2*len(s.bits), w+1, 16)
+		s.bits = append(s.bits, make([]uint64, min(n, pageSetMaxDense/64)-len(s.bits))...)
+	}
+	if s.bits[w]&bit != 0 {
+		return false
+	}
+	s.bits[w] |= bit
+	return true
 }
 
 // maxPageSeen returns the largest referenced page, computing and caching
@@ -197,7 +238,7 @@ func (t *Trace) AddAlloc(d *directive.Allocate) {
 		t.Allocs = append(t.Allocs, AllocDirective{Label: label, Arms: d.Arms})
 		t.allocIndex[d] = idx
 	}
-	t.Events = append(t.Events, Event{Kind: EvAlloc, Arg: idx})
+	t.Events = append(room(t.chunked, t.Events, &t.evChunks), Event{Kind: EvAlloc, Arg: idx})
 	t.noteSite()
 }
 
@@ -205,7 +246,7 @@ func (t *Trace) AddAlloc(d *directive.Allocate) {
 func (t *Trace) AddLock(pj, site int, pages []mem.Page) {
 	idx := int32(len(t.LockSets))
 	t.LockSets = append(t.LockSets, LockSet{PJ: pj, Site: site, Pages: pages})
-	t.Events = append(t.Events, Event{Kind: EvLock, Arg: idx})
+	t.Events = append(room(t.chunked, t.Events, &t.evChunks), Event{Kind: EvLock, Arg: idx})
 	t.noteSite()
 }
 
@@ -213,7 +254,7 @@ func (t *Trace) AddLock(pj, site int, pages []mem.Page) {
 func (t *Trace) AddUnlock(pages []mem.Page) {
 	idx := int32(len(t.UnlockSets))
 	t.UnlockSets = append(t.UnlockSets, pages)
-	t.Events = append(t.Events, Event{Kind: EvUnlock, Arg: idx})
+	t.Events = append(room(t.chunked, t.Events, &t.evChunks), Event{Kind: EvUnlock, Arg: idx})
 	t.noteSite()
 }
 

@@ -76,3 +76,37 @@ func TestSummary(t *testing.T) {
 		t.Errorf("summary = %q, want %q", got, want)
 	}
 }
+
+// TestAddRefDistinctWildAndZeroPages checks the distinct-page set at its
+// edges: page 0 (the first bitset bit), a wild page far beyond the dense
+// bitset, which must take the map path without growing the bitset, and
+// a negative page.
+func TestAddRefDistinctWildAndZeroPages(t *testing.T) {
+	tr := New("t")
+	for _, p := range []mem.Page{0, 0, 1 << 30, 63, 64, 1 << 30, 0, -1, pageSetMaxDense - 1, pageSetMaxDense, -1, 64} {
+		tr.AddRef(p)
+	}
+	if tr.Refs != 12 {
+		t.Errorf("refs = %d, want 12", tr.Refs)
+	}
+	if tr.Distinct != 7 {
+		t.Errorf("distinct = %d, want 7 (0, 63, 64, 1<<30, -1 and both sides of the dense cap)", tr.Distinct)
+	}
+	if n := len(tr.seen.bits); n > pageSetMaxDense/64 {
+		t.Errorf("bitset grew to %d words, cap %d", n, pageSetMaxDense/64)
+	}
+
+	wild := New("wild")
+	wild.AddRef(1 << 30)
+	wild.AddRef(1 << 30)
+	if wild.Distinct != 1 || len(wild.seen.bits) != 0 {
+		t.Errorf("wild page only: distinct = %d, bitset words = %d; want 1 and 0", wild.Distinct, len(wild.seen.bits))
+	}
+
+	zero := New("zero")
+	zero.AddRef(0)
+	zero.AddRef(0)
+	if zero.Distinct != 1 {
+		t.Errorf("page 0 only: distinct = %d, want 1", zero.Distinct)
+	}
+}

@@ -169,11 +169,6 @@ func runInstrumented(src trace.Source, pol policy.Policy, o *obs.Observer) (Resu
 		}
 	}
 	res := Finalize(pol, meta.Refs, &acc)
-	if reg := o.Metrics; reg != nil {
-		reg.Gauge("max_resident").Set(float64(res.MaxResident))
-		reg.Gauge("virtual_time").Set(float64(res.VirtualTime))
-		reg.Gauge("mem_avg").Set(res.MEM())
-	}
 	if prog != nil {
 		prog(refIdx, meta.Refs, res.VirtualTime)
 	}

@@ -190,3 +190,20 @@ func TestDescriptionsPresent(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkCompile measures the full compiler pipeline (parse through
+// directive insertion and trace generation) per workload. It calls the
+// uncached pipeline: going through Compile would need a fresh program
+// name per iteration to miss the cache, and every one of those entries
+// would stay in the process-wide cache for good.
+func BenchmarkCompile(b *testing.B) {
+	for _, w := range All() {
+		b.Run(w.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := compile(w); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
