@@ -10,7 +10,9 @@ import (
 	"time"
 
 	"cdmm/internal/engine"
+	"cdmm/internal/mem"
 	"cdmm/internal/obs"
+	"cdmm/internal/trace"
 	"cdmm/internal/workloads"
 )
 
@@ -287,5 +289,75 @@ func TestWorkersDefault(t *testing.T) {
 	}
 	if w := engine.New(3).Workers(); w != 3 {
 		t.Errorf("New(3).Workers() = %d", w)
+	}
+}
+
+// TestWSMinSTWithExtras pins the batched ws-min artifact. In curve mode
+// the extra windows ride along once and read back exactly as cell-mode
+// replays; WSMinST shares the entry; cell mode and an enabled observer
+// keep their own searches and never ask for the extras.
+func TestWSMinSTWithExtras(t *testing.T) {
+	const prog = "synthetic"
+	seed := uint64(3)
+	tr := trace.New(prog)
+	for i := 0; i < 4000; i++ {
+		seed = seed*6364136223846793005 + 1442695040888963407
+		tr.AddRef(mem.Page(i/500 + int(seed>>33)%12))
+	}
+	install := func(e *engine.Engine) *engine.Engine {
+		_, err := e.Memo(nil, engine.Key{Kind: "compile", Program: prog}, func(*engine.RunCtx, *obs.Observer) (any, error) {
+			return &workloads.Compiled{Trace: tr}, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	extras := []int{77, 1234}
+	calls := 0
+	count := func(*engine.RunCtx) ([]int, error) { calls++; return extras, nil }
+	refuse := func(*engine.RunCtx) ([]int, error) {
+		t.Error("extra windows requested outside curve mode")
+		return nil, nil
+	}
+
+	curve := install(engine.New(1))
+	tau, res, err := curve.WSMinSTWith(nil, prog, count)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls != 1 {
+		t.Fatalf("extra called %d times, want 1", calls)
+	}
+	if tau2, res2, err := curve.WSMinST(nil, prog); err != nil || tau2 != tau || res2 != res {
+		t.Fatalf("WSMinST after WSMinSTWith = (%d, %+v, %v), want (%d, %+v)", tau2, res2, err, tau, res)
+	}
+	if _, _, err := curve.WSMinSTWith(nil, prog, count); err != nil || calls != 1 {
+		t.Fatalf("memoized entry recomputed: calls=%d err=%v", calls, err)
+	}
+
+	cell := install(engine.New(1).WithCellMode(true))
+	observed := install(engine.New(1).WithObserver(&obs.Observer{Metrics: obs.NewRegistry()}))
+	for name, e := range map[string]*engine.Engine{"cell": cell, "observed": observed} {
+		gotTau, gotRes, err := e.WSMinSTWith(nil, prog, refuse)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotTau != tau || gotRes != res {
+			t.Fatalf("%s: (%d, %+v) != curve mode (%d, %+v)", name, gotTau, gotRes, tau, res)
+		}
+	}
+	for _, x := range extras {
+		a, err := curve.WSRun(nil, prog, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := cell.WSRun(nil, prog, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a != b {
+			t.Fatalf("tau=%d: curve %+v != cell %+v", x, a, b)
+		}
 	}
 }

@@ -225,11 +225,11 @@ func (e *Engine) LRUSweep(rc *RunCtx, program string) (*sweep.LRUCurve, error) {
 	return v.(*sweep.LRUCurve), nil
 }
 
-// WSSweep returns the program's working-set curve index (the backward
-// and forward interval histograms: PF(τ) and MemSum(τ) for every τ from
-// one pass), computed once per engine. The index is mode-independent —
-// cell mode diverges at the full-replay artifacts (WSRun, WSMinST), not
-// at the histograms, which predate the curve engines.
+// WSSweep returns the program's working-set curve index (the interval
+// histogram: PF(τ) and MemSum(τ) for every τ from one pass), computed
+// once per engine. The index is mode-independent — cell mode diverges at
+// the full-replay artifacts (WSRun, WSMinST), not at the histograms,
+// which predate the curve engines.
 func (e *Engine) WSSweep(rc *RunCtx, program string) (*sweep.WS, error) {
 	v, err := e.Memo(rc, Key{Kind: "ws-sweep", Program: program, Policy: "WS"}, func(comp *RunCtx, _ *obs.Observer) (any, error) {
 		c, err := e.Compiled(comp, program)
@@ -303,13 +303,23 @@ type wsMin struct {
 }
 
 // WSMinST returns the working-set window minimizing space-time cost and
-// its full result, computed once per engine. In curve mode the whole τ
-// ladder falls out of one grid-engine traversal; cell mode replays the
-// trace at every ladder point (formerly the most expensive per-program
-// artifact); an enabled observer keeps the historical instrumented
-// search — histogram-pruned ladder replays — so event streams are
-// unchanged.
+// its full result, computed once per engine. In curve mode the pruned τ
+// ladder falls out of at most two grid-engine traversals (sweep.WS.MinST);
+// cell mode replays the trace at every ladder point (formerly the most
+// expensive per-program artifact); an enabled observer keeps the
+// historical instrumented search — histogram-pruned ladder replays — so
+// event streams are unchanged.
 func (e *Engine) WSMinST(rc *RunCtx, program string) (int, vmsim.Result, error) {
+	return e.WSMinSTWith(rc, program, nil)
+}
+
+// WSMinSTWith is WSMinST, sharing its memo entry, whose curve-mode first
+// grid pass also computes the windows extra returns, so later WSRun
+// requests for them read memoized curve points instead of traversing
+// the trace again. extra runs only when it can ride along: never with
+// an enabled observer or in cell mode, and not when the entry was
+// already computed. The result is the same either way.
+func (e *Engine) WSMinSTWith(rc *RunCtx, program string, extra func(comp *RunCtx) ([]int, error)) (int, vmsim.Result, error) {
 	k := Key{Kind: "ws-min", Program: program, Policy: "WS", Params: e.modeParams("")}
 	v, err := e.Memo(rc, k, func(comp *RunCtx, o *obs.Observer) (any, error) {
 		s, err := e.WSSweep(comp, program)
@@ -354,7 +364,13 @@ func (e *Engine) WSMinST(rc *RunCtx, program string) (int, vmsim.Result, error) 
 			}
 			return wsMin{bestTau, best}, nil
 		}
-		tau, res, err := s.MinST()
+		var taus []int
+		if extra != nil {
+			if taus, err = extra(comp); err != nil {
+				return nil, err
+			}
+		}
+		tau, res, err := s.MinST(taus...)
 		if err != nil {
 			return nil, err
 		}

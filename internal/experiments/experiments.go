@@ -89,6 +89,49 @@ func CDRun(v Variant) (vmsim.Result, error) {
 	return cdRun(engine.Default(), nil, v)
 }
 
+// wsWindows are a variant's matched working-set windows: Table 3's
+// window, whose mean working-set size is closest to CD's MEM, and
+// Table 4's, the smallest whose fault count is at most CD's (pfOK is
+// false if no window achieves it).
+type wsWindows struct {
+	mem  int
+	pf   int
+	pfOK bool
+}
+
+// variantWindows runs (memoized) v's CD policy and reads its Table 3
+// and Table 4 windows off the program's WS histogram.
+func variantWindows(eng *engine.Engine, rc *engine.RunCtx, v Variant) (vmsim.Result, wsWindows, error) {
+	cd, err := cdRun(eng, rc, v)
+	if err != nil {
+		return vmsim.Result{}, wsWindows{}, err
+	}
+	ws, err := eng.WSSweep(rc, v.Program)
+	if err != nil {
+		return vmsim.Result{}, wsWindows{}, err
+	}
+	pf, ok := ws.MinTauForFaults(cd.Faults)
+	return cd, wsWindows{mem: ws.TauForMEM(cd.MEM()), pf: pf, pfOK: ok}, nil
+}
+
+// programWindows returns the Table 3 and Table 4 windows of every
+// variant of program: the τ queries Table 2 folds into the program's
+// WS ladder pass.
+func programWindows(eng *engine.Engine, rc *engine.RunCtx, program string) ([]int, error) {
+	var taus []int
+	for _, v := range Table34Variants {
+		if v.Program != program {
+			continue
+		}
+		_, w, err := variantWindows(eng, rc, v)
+		if err != nil {
+			return nil, err
+		}
+		taus = append(taus, w.mem, w.pf)
+	}
+	return taus, nil
+}
+
 func pct(other, cd float64) float64 {
 	if cd == 0 {
 		return 0
@@ -151,7 +194,12 @@ func Table2(eng *engine.Engine) ([]Row2, error) {
 			return Row2{}, err
 		}
 		mLRU, stLRU := lru.MinST()
-		tauWS, wsRes, err := eng.WSMinST(rc, v.Program)
+		// Tables 3 and 4 query this program's WS curve at their matched
+		// windows; the ladder search computes those points in its first
+		// grid pass.
+		tauWS, wsRes, err := eng.WSMinSTWith(rc, v.Program, func(comp *engine.RunCtx) ([]int, error) {
+			return programWindows(eng, comp, v.Program)
+		})
 		if err != nil {
 			return Row2{}, err
 		}
@@ -192,7 +240,7 @@ func Table3(eng *engine.Engine) ([]Row3, error) {
 	eng = engine.Or(eng)
 	return engine.MapNamed(eng, "table3", Table34Variants, func(rc *engine.RunCtx, v Variant) (Row3, error) {
 		rc.Describe(v.Program+"/"+v.Set, "CD vs equal-MEM LRU/WS")
-		cd, err := cdRun(eng, rc, v)
+		cd, win, err := variantWindows(eng, rc, v)
 		if err != nil {
 			return Row3{}, err
 		}
@@ -207,12 +255,7 @@ func Table3(eng *engine.Engine) ([]Row3, error) {
 		}
 		lru := lruSweep.Result(m)
 
-		wsSweep, err := eng.WSSweep(rc, v.Program)
-		if err != nil {
-			return Row3{}, err
-		}
-		tau := wsSweep.TauForMEM(cd.MEM())
-		ws, err := eng.WSRun(rc, v.Program, tau)
+		ws, err := eng.WSRun(rc, v.Program, win.mem)
 		if err != nil {
 			return Row3{}, err
 		}
@@ -225,7 +268,7 @@ func Table3(eng *engine.Engine) ([]Row3, error) {
 			LRUAlloc:   m,
 			DeltaPFLRU: lru.Faults - cd.Faults,
 			PctSTLRU:   pct(lru.ST(), cd.ST()),
-			WSTau:      tau,
+			WSTau:      win.mem,
 			WSMEM:      ws.MEM(),
 			DeltaPFWS:  ws.Faults - cd.Faults,
 			PctSTWS:    pct(ws.ST(), cd.ST()),
@@ -259,7 +302,7 @@ func Table4(eng *engine.Engine) ([]Row4, error) {
 	eng = engine.Or(eng)
 	return engine.MapNamed(eng, "table4", Table34Variants, func(rc *engine.RunCtx, v Variant) (Row4, error) {
 		rc.Describe(v.Program+"/"+v.Set, "CD vs equal-PF LRU/WS")
-		cd, err := cdRun(eng, rc, v)
+		cd, win, err := variantWindows(eng, rc, v)
 		if err != nil {
 			return Row4{}, err
 		}
@@ -271,12 +314,7 @@ func Table4(eng *engine.Engine) ([]Row4, error) {
 		m, okLRU := lruSweep.MinAllocationForFaults(cd.Faults)
 		lru := lruSweep.Result(m)
 
-		wsSweep, err := eng.WSSweep(rc, v.Program)
-		if err != nil {
-			return Row4{}, err
-		}
-		tau, okWS := wsSweep.MinTauForFaults(cd.Faults)
-		ws, err := eng.WSRun(rc, v.Program, tau)
+		ws, err := eng.WSRun(rc, v.Program, win.pf)
 		if err != nil {
 			return Row4{}, err
 		}
@@ -290,8 +328,8 @@ func Table4(eng *engine.Engine) ([]Row4, error) {
 			LRUOK:     okLRU,
 			PctMEMLRU: pct(lru.MEM(), cd.MEM()),
 			PctSTLRU:  pct(lru.ST(), cd.ST()),
-			WSTau:     tau,
-			WSOK:      okWS,
+			WSTau:     win.pf,
+			WSOK:      win.pfOK,
 			PctMEMWS:  pct(ws.MEM(), cd.MEM()),
 			PctSTWS:   pct(ws.ST(), cd.ST()),
 		}, nil

@@ -164,6 +164,9 @@ func Collect(quick bool) (*Baseline, error) {
 	if err := collectSweepCurves(b, target); err != nil {
 		return nil, err
 	}
+	if err := collectWSMin(b, target); err != nil {
+		return nil, err
+	}
 	if err := collectStreamDecode(b, target); err != nil {
 		return nil, err
 	}
@@ -320,6 +323,55 @@ func collectSweepCurves(b *Baseline, target time.Duration) error {
 			}
 		},
 		func() { vmsim.SweepWS(tr, taus) })
+	return nil
+}
+
+// collectWSMin measures the working-set search Tables 2-4 run per
+// program, on CONDUCT: the interval histogram, the pruned τ-ladder
+// minimum with Table 3's equal-MEM and Table 4's equal-PF windows folded
+// into its first grid pass, and the reads of those two points. The
+// windows come from one CD replay outside the timed loop; the anchor is
+// the fault count at the winning τ.
+func collectWSMin(b *Baseline, target time.Duration) error {
+	w, err := workloads.Get("CONDUCT")
+	if err != nil {
+		return err
+	}
+	c, err := workloads.Compile(w)
+	if err != nil {
+		return err
+	}
+	tr := c.Trace
+	ws, err := sweep.NewWS(tr)
+	if err != nil {
+		return err
+	}
+	cd := vmsim.Run(tr, policy.NewCD(w.DefaultSet().Selector(), 2))
+	pfTau, _ := ws.MinTauForFaults(cd.Faults)
+	taus := []int{ws.TauForMEM(cd.MEM()), pfTau}
+	search := func() vmsim.Result {
+		s, err := sweep.NewWS(tr)
+		if err != nil {
+			panic(err)
+		}
+		_, best, err := s.MinST(taus...)
+		if err != nil {
+			panic(err)
+		}
+		for _, tau := range taus {
+			if _, err := s.Run(tau); err != nil {
+				panic(err)
+			}
+		}
+		return best
+	}
+	best := search()
+	cs := measure(target, tr.Refs, func() { search() })
+	cs.Name = "ws_min"
+	cs.Workload = "CONDUCT"
+	cs.Refs = tr.Refs
+	cs.Faults = best.Faults
+	b.Cases = append(b.Cases, cs)
 	return nil
 }
 

@@ -108,7 +108,7 @@ func TestCollectQuick(t *testing.T) {
 		if c.NsPerRef <= 0 || c.Refs <= 0 || c.Faults <= 0 {
 			t.Fatalf("%s: implausible measurement %+v", c.Name, c)
 		}
-		if strings.HasPrefix(c.Name, "sweep_") {
+		if strings.HasPrefix(c.Name, "sweep_") || c.Name == "ws_min" {
 			// Curve construction materializes its whole result (Fenwick
 			// tree, interval histograms, per-allocation suffix sums), so it
 			// allocates by design; the bound keeps it amortized per ref.

@@ -10,14 +10,15 @@
 //     Periodic position compression bounds the tree at O(V) regardless
 //     of stream length, so multi-GB CDT3 files sweep in bounded memory.
 //
-//   - WS: Denning's windowed recurrence. One pass builds the backward
-//     inter-reference-interval and forward re-reference-distance
-//     histograms (PF(τ) and MemSum(τ) for all τ at once); a second
-//     event-driven pass steps an arbitrary τ grid in lockstep — each
-//     reference schedules one lazy expiry chain that walks the grid as
-//     the page ages — producing the exact per-τ Result (including the
-//     fault-coupled space-time integral) in O(R + Σ_τ activity) instead
-//     of O(R × |grid|).
+//   - WS: Denning's windowed recurrence. One pass builds the
+//     inter-reference-interval histogram in O(√(V·R)) memory (PF(τ) and
+//     MemSum(τ) for all τ at once); a second event-driven pass steps an
+//     arbitrary τ grid in lockstep — each reference schedules one lazy
+//     expiry chain that walks the grid as the page ages — producing the
+//     exact per-τ Result (including the fault-coupled space-time
+//     integral) in O(R + Σ_τ activity) instead of O(R × |grid|). The
+//     minimum-ST window over the τ ladder takes at most two such passes,
+//     pruned by lower bounds on ST.
 //
 //   - Multi: a lockstep grouped pass for policies with no closed form
 //     (FIFO capacity grids, CD detune grids). One cursor feeds every

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"math"
 	"sort"
 	"sync"
 
@@ -13,7 +14,7 @@ import (
 // WS answers working-set questions for every window size τ from one
 // traversal of the reference stream, without replaying it per τ.
 //
-// Two single-pass histograms give the closed forms:
+// One interval histogram gives the closed forms:
 //
 //   - Faults(τ): a reference faults iff the backward inter-reference
 //     interval of its page exceeds τ (first references always fault), so
@@ -21,8 +22,15 @@ import (
 //   - MemSum(τ): a reference at time u with forward re-reference distance
 //     d (to the next reference of the same page, or to the end of the
 //     stream) keeps its page in W(t,τ) for exactly min(τ, d) time steps,
-//     so Σ_t |W(t,τ)| = Σ_u min(τ, d_u), a prefix sum over the forward
-//     distance histogram.
+//     so Σ_t |W(t,τ)| = Σ_u min(τ, d_u). The non-final forward distances
+//     are the non-first backward intervals (both are the gaps between
+//     consecutive references of one page), so this is a prefix sum over
+//     the same histogram plus the V end-of-stream distances.
+//
+// The histogram is dense for intervals up to L = ⌈√(V·R)⌉ and a sorted
+// list beyond: a reference whose interval exceeds L is the first
+// reference of its page in its L-block, so at most V·⌈R/L⌉ of them
+// exist and the whole index is O(√(V·R)) rather than O(R).
 //
 // The space-time integral couples the working-set size to fault instants
 // and does not reduce to a histogram; Curve computes it exactly for a
@@ -33,40 +41,53 @@ type WS struct {
 	Refs int
 	src  trace.Source
 
-	// interval suffix counts: faultsGE[k] = #refs with interval >= k.
-	faultsGE []int
-	// forward-distance histogram prefix aggregates: over distances
-	// d in [1, k], cntPrefix counts refs and wPrefix sums d.
-	cntPrefix []int64
-	wPrefix   []int64
+	// first counts first references: they fault at every τ.
+	first int
+	// lim is L. cntLE[k] and sumLE[k] count and sum the intervals in
+	// [1, k] for k <= lim; long holds the intervals above lim, sorted,
+	// with longSum[i] = Σ long[:i].
+	lim     int
+	cntLE   []int64
+	sumLE   []int64
+	long    []int
+	longSum []int64
+	// ends are the final references' forward distances (to the end of
+	// the stream), sorted, with endSum[i] = Σ ends[:i].
+	ends   []int
+	endSum []int64
 
 	// mu guards the memoized curve points; the engine shares one WS per
 	// program across concurrent table rows.
-	mu     sync.Mutex
-	cache  map[int]vmsim.Result
-	ladder []vmsim.Result // Curve(DefaultTaus), built on first MinST
+	mu    sync.Mutex
+	cache map[int]vmsim.Result
 }
 
-// NewWS analyzes a reference stream's histograms in one traversal. The
-// source is retained: Curve/Run/MinST traverse it again (once per grid,
-// not once per τ).
+// NewWS analyzes a reference stream's interval histogram in one
+// traversal. The source is retained: Curve/Run/MinST traverse it again
+// (once per grid, not once per τ).
 func NewWS(src trace.Source) (*WS, error) {
 	meta := src.Meta()
 	n := meta.Refs
 	s := &WS{Refs: n, src: src, cache: map[int]vmsim.Result{}}
 
+	v := meta.Distinct
+	if v < 1 {
+		v = int(meta.MaxPage) + 1
+	}
+	lim := max(min(int(math.Ceil(math.Sqrt(float64(v)*float64(n)))), n), 1)
+	cnt := make([]int64, lim+1)
+	var long []int
 	last := make([]int, int(meta.MaxPage)+2)
-	fwdCnt := make([]int64, n+2) // distance -> count, d in [1, n+1]
-	s.faultsGE = make([]int, n+3)
-	t := 0
+	first, t := 0, 0
 	err := walkRefs(src, func(pages []mem.Page) {
 		for _, pg := range pages {
 			t++
-			if prev := last[pg]; prev != 0 {
-				s.faultsGE[t-prev]++ // backward interval; always <= n
-				fwdCnt[t-prev]++     // forward distance of the ref at prev
+			if prev := last[pg]; prev == 0 {
+				first++
+			} else if b := t - prev; b <= lim {
+				cnt[b]++
 			} else {
-				s.faultsGE[n+1]++ // first ref
+				long = append(long, b)
 			}
 			last[pg] = t
 		}
@@ -74,23 +95,47 @@ func NewWS(src trace.Source) (*WS, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Final references run to the end of the stream.
+	s.first, s.lim, s.cntLE, s.long = first, lim, cnt, long
 	for _, pos := range last {
 		if pos != 0 {
-			fwdCnt[n-pos+1]++
+			s.ends = append(s.ends, n-pos+1)
 		}
 	}
 
-	for k := n + 1; k >= 1; k-- {
-		s.faultsGE[k] += s.faultsGE[k+1]
+	s.sumLE = make([]int64, s.lim+1)
+	for d := 1; d <= s.lim; d++ {
+		s.sumLE[d] = s.sumLE[d-1] + int64(d)*cnt[d]
+		s.cntLE[d] += s.cntLE[d-1]
 	}
-	s.cntPrefix = make([]int64, n+2)
-	s.wPrefix = make([]int64, n+2)
-	for d := 1; d <= n+1; d++ {
-		s.cntPrefix[d] = s.cntPrefix[d-1] + fwdCnt[d]
-		s.wPrefix[d] = s.wPrefix[d-1] + int64(d)*fwdCnt[d]
-	}
+	s.longSum = sortedPrefix(s.long)
+	s.endSum = sortedPrefix(s.ends)
 	return s, nil
+}
+
+// sortedPrefix sorts vals and returns their prefix sums.
+func sortedPrefix(vals []int) []int64 {
+	sort.Ints(vals)
+	pre := make([]int64, len(vals)+1)
+	for i, x := range vals {
+		pre[i+1] = pre[i] + int64(x)
+	}
+	return pre
+}
+
+// upTo returns how many of the sorted vals are <= k, and their sum.
+func upTo(vals []int, pre []int64, k int) (int64, int64) {
+	i := sort.SearchInts(vals, k+1)
+	return int64(i), pre[i]
+}
+
+// intervalsUpTo returns how many non-first backward intervals are <= k,
+// and their sum.
+func (s *WS) intervalsUpTo(k int) (int64, int64) {
+	if k <= s.lim {
+		return s.cntLE[k], s.sumLE[k]
+	}
+	c, sum := upTo(s.long, s.longSum, k)
+	return s.cntLE[s.lim] + c, s.sumLE[s.lim] + sum
 }
 
 // Faults returns PF under window size tau.
@@ -98,11 +143,8 @@ func (s *WS) Faults(tau int) int {
 	if tau < 1 {
 		tau = 1
 	}
-	k := tau + 1
-	if k > s.Refs+1 {
-		k = s.Refs + 1
-	}
-	return s.faultsGE[k]
+	c, _ := s.intervalsUpTo(tau)
+	return s.first + int(s.cntLE[s.lim]+int64(len(s.long))-c)
 }
 
 // MemSum returns Σ_t |W(t,τ)|.
@@ -113,11 +155,13 @@ func (s *WS) MemSum(tau int) float64 {
 	if tau > s.Refs+1 {
 		tau = s.Refs + 1
 	}
-	// Σ min(τ, d) = Σ_{d<=τ} d + τ·#{d>τ}. Every partial sum is an
-	// integer below 2^53, so the float64 conversion is exact and matches
-	// per-cell accumulation bit for bit.
+	// Σ min(τ, d) = Σ_{d<=τ} d + τ·#{d>τ}, over the R forward distances.
+	// Every partial sum is an integer below 2^53, so the float64
+	// conversion is exact and matches per-cell accumulation bit for bit.
+	c, sum := s.intervalsUpTo(tau)
+	ce, sume := upTo(s.ends, s.endSum, tau)
 	i := int64(tau)
-	return float64(s.wPrefix[tau]) + float64(i)*float64(s.cntPrefix[s.Refs+1]-s.cntPrefix[tau])
+	return float64(sum+sume) + float64(i)*float64(int64(s.Refs)-c-ce)
 }
 
 // MEM returns the average working-set size under window size tau.
@@ -188,39 +232,103 @@ func (s *WS) Run(tau int) (vmsim.Result, error) {
 }
 
 // MinST scans the standard τ ladder for the window minimizing the
-// space-time cost, computing the whole ladder's exact results in one
-// traversal. It returns the best τ and its full result; ties break toward
-// the smaller τ (strict-less scan in ladder order), matching the per-cell
-// ladder scan.
-func (s *WS) MinST() (int, vmsim.Result, error) {
+// space-time cost. It returns the best τ and its full result; ties break
+// toward the smaller τ (strict-less scan in ladder order), matching the
+// per-cell ladder scan. The extra windows are computed exactly in the
+// same first grid pass and memoized, so later Run calls for them cost
+// no traversal.
+//
+// At most two traversals answer the ladder, pruned by lower bounds on
+// ST. A fault step charges FaultService times the working-set size after
+// the fault, so ST(τ) = MemSum(τ) + FaultService·Σ_{faults t} |W(t,τ)|.
+// Two facts bound the sum for τ >= c: τ faults at a subset of c's fault
+// instants (those whose backward interval exceeds τ), and |W(t,τ)| >=
+// |W(t,c)|. So a pass that records c's working-set size at each fault,
+// bucketed by backward interval over the ladder, bounds every larger
+// ladder point; with no such c, |W| >= 1 gives MemSum + FaultService·PF.
+//
+// The first pass computes the upper half of the ladder, whose points are
+// cheap (few faults and expiries), the extras, and a coarse sample of
+// the lower half that records those buckets: every coarseStride-th point
+// up from the lowest whose PF bound is within an estimate of the minimum.
+// The second computes only the lower points whose bound does not exceed
+// the best ST found so far. A point is skipped only when its bound is
+// strictly above an achieved ST, so it can be neither the minimum nor a
+// tie, and the scan picks the same τ as a scan of the whole ladder.
+func (s *WS) MinST(extra ...int) (int, vmsim.Result, error) {
 	taus := vmsim.DefaultTaus(s.Refs)
-	curve, err := s.Ladder()
+	if len(taus) == 0 {
+		taus = []int{1}
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	h := len(taus) / 2
+	fs := float64(policy.FaultService)
+	pfBound := func(tau int) float64 { return s.MemSum(tau) + fs*float64(s.Faults(tau)) }
+
+	// The estimate charges each fault the mean working-set size; it only
+	// places the sample, so it need not bound anything.
+	est := math.Inf(1)
+	for _, tau := range taus[h:] {
+		est = min(est, s.MemSum(tau)+fs*float64(s.Faults(tau))*s.MEM(tau))
+	}
+	pass1 := append(append([]int(nil), taus[h:]...), extra...)
+	floor := 0
+	for floor < h && pfBound(taus[floor]) > est {
+		floor++
+	}
+	for m := floor; m < h; m += coarseStride {
+		pass1 = append(pass1, taus[m])
+	}
+	uniq := s.pending(pass1)
+	rec := sort.SearchInts(uniq, taus[h]) // windows that can bound a lower point
+	faultWS, err := s.runGrid(uniq, taus, rec)
 	if err != nil {
 		return 0, vmsim.Result{}, err
 	}
-	bestTau, best := taus[0], curve[0]
-	for i, tau := range taus[1:] {
-		if r := curve[i+1]; r.SpaceTime < best.SpaceTime {
-			bestTau, best = tau, r
+	best := math.Inf(1)
+	for _, tau := range taus {
+		if r, ok := s.cache[tau]; ok {
+			best = min(best, r.SpaceTime)
 		}
 	}
-	return bestTau, best, nil
+
+	var rest []int
+	for m, tau := range taus[:h] {
+		if _, ok := s.cache[tau]; ok {
+			continue
+		}
+		bound := pfBound(tau)
+		if j := sort.SearchInts(uniq[:rec], tau+1) - 1; j >= 0 {
+			// Faults of tau have more than m ladder points below their
+			// backward interval.
+			var sum int64
+			for k := m + 1; k <= len(taus); k++ {
+				sum += faultWS[k*rec+j]
+			}
+			bound = s.MemSum(tau) + float64(policy.FaultService*sum)
+		}
+		if bound <= best {
+			rest = append(rest, tau)
+		}
+	}
+	if _, err := s.runGrid(s.pending(rest), nil, 0); err != nil {
+		return 0, vmsim.Result{}, err
+	}
+	bestTau, bestRes := 0, vmsim.Result{}
+	for _, tau := range taus {
+		r, ok := s.cache[tau]
+		if ok && (bestTau == 0 || r.SpaceTime < bestRes.SpaceTime) {
+			bestTau, bestRes = tau, r
+		}
+	}
+	return bestTau, bestRes, nil
 }
 
-// Ladder returns the exact curve over vmsim.DefaultTaus(Refs), computed
-// once and memoized.
-func (s *WS) Ladder() ([]vmsim.Result, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ladder == nil {
-		curve, err := s.curveLocked(vmsim.DefaultTaus(s.Refs))
-		if err != nil {
-			return nil, err
-		}
-		s.ladder = curve
-	}
-	return s.ladder, nil
-}
+// coarseStride spaces MinST's sample of the lower ladder: 8 ladder steps
+// of ~12% are a factor of ~2.5 in τ, close enough for the sampled
+// working-set sizes to bound the points between.
+const coarseStride = 8
 
 // Curve computes the exact replay result for every window size in taus —
 // PF, MEM, the fault-coupled space-time integral, peak working set — in
@@ -244,16 +352,22 @@ func (s *WS) Curve(taus []int) ([]vmsim.Result, error) {
 }
 
 func (s *WS) curveLocked(taus []int) ([]vmsim.Result, error) {
-	if len(taus) == 0 {
-		return nil, nil
+	if _, err := s.runGrid(s.pending(taus), nil, 0); err != nil {
+		return nil, err
 	}
-	// Sorted unique grid of the points not already cached; results fan
-	// back out to the caller's order at the end.
+	out := make([]vmsim.Result, len(taus))
+	for i, tau := range taus {
+		out[i] = s.cache[max(tau, 1)]
+	}
+	return out, nil
+}
+
+// pending returns the sorted unique windows of taus (τ < 1 read as 1)
+// that are not memoized yet.
+func (s *WS) pending(taus []int) []int {
 	uniq := make([]int, 0, len(taus))
 	for _, tau := range taus {
-		if tau < 1 {
-			tau = 1
-		}
+		tau = max(tau, 1)
 		if _, ok := s.cache[tau]; !ok {
 			uniq = append(uniq, tau)
 		}
@@ -266,31 +380,34 @@ func (s *WS) curveLocked(taus []int) ([]vmsim.Result, error) {
 			g++
 		}
 	}
-	uniq = uniq[:g]
-	if g > 0 {
-		if err := s.runGrid(uniq); err != nil {
-			for _, tau := range uniq {
-				delete(s.cache, tau)
-			}
-			return nil, err
-		}
-	}
-	out := make([]vmsim.Result, len(taus))
-	for i, tau := range taus {
-		if tau < 1 {
-			tau = 1
-		}
-		out[i] = s.cache[tau]
-	}
-	return out, nil
+	return uniq[:g]
+}
+
+// chain is one reference's pending expiry in runGrid's calendar ring.
+type chain struct {
+	u    int   // the reference's time
+	page int32 // its page
+	idx  int32 // grid index of the window it expires from next
+	next int32 // next node+1 in its fire-slot bucket; 0 ends the bucket
 }
 
 // runGrid executes the event-driven lockstep pass over the sorted unique
-// grid, filling s.cache.
-func (s *WS) runGrid(uniq []int) error {
+// grid, filling s.cache; an empty grid is a no-op. For the first rec
+// windows it also returns the working-set size after each fault, summed
+// by the fault's backward interval b over the ladder: entry k*rec+i sums
+// window i's faults with k ladder points below b (k = len(ladder) for
+// first references).
+func (s *WS) runGrid(uniq, ladder []int, rec int) ([]int64, error) {
+	if len(uniq) == 0 {
+		return nil, nil
+	}
 	n := s.Refs
 	g := len(uniq)
 	meta := s.src.Meta()
+	var faultWS []int64
+	if rec > 0 {
+		faultWS = make([]int64, (len(ladder)+1)*rec)
+	}
 
 	// Per-window state.
 	ws := make([]int, g)     // live working-set size
@@ -315,18 +432,16 @@ func (s *WS) runGrid(uniq []int) error {
 	if w < 1 {
 		w = 1
 	}
+	w32 := int32(w)
 	heads := make([]int32, w) // fire-slot -> node+1; 0 = empty
-	nxt := make([]int32, w)   // node -> next node+1 in bucket
-	nodeU := make([]int, w)   // node -> chain creation time
-	nodePage := make([]int32, w)
-	nodeIdx := make([]int32, w) // node -> grid index of pending expiry
+	nodes := make([]chain, w)
 
 	last := make([]int, int(meta.MaxPage)+2)
 	exits := make([]int32, 0, g)
 	tau0 := uniq[0]
 	fs := int64(1 + policy.FaultService)
 
-	t := 0
+	t, slot := 0, int32(0) // slot = t % w
 	err := walkRefs(s.src, func(pages []mem.Page) {
 		for _, pg := range pages {
 			t++
@@ -338,24 +453,26 @@ func (s *WS) runGrid(uniq []int) error {
 			// right now (backward interval exactly τ) correctly dies:
 			// insertion precedes expiry in the per-cell replay.
 			exits = exits[:0]
-			slot := int32(t % w)
+			if slot++; slot == w32 {
+				slot = 0
+			}
 			for nd := heads[slot]; nd != 0; {
-				node := nd - 1
-				nd = nxt[node]
-				u := nodeU[node]
-				if last[nodePage[node]] != u {
-					continue // page re-referenced in (u, t]: chain dies
-				}
-				i := nodeIdx[node]
-				exits = append(exits, i)
-				if int(i+1) < g {
-					if fire := u + uniq[i+1]; fire <= n {
-						nodeIdx[node] = i + 1
-						s2 := int32(fire % w)
-						nxt[node] = heads[s2]
-						heads[s2] = node + 1
+				c := &nodes[nd-1]
+				next := c.next
+				if last[c.page] == c.u { // else re-referenced in (u, t]: chain dies
+					i := c.idx
+					exits = append(exits, i)
+					if int(i+1) < g && c.u+uniq[i+1] <= n {
+						c.idx = i + 1
+						s2 := slot + int32(uniq[i+1]-uniq[i])
+						if s2 >= w32 {
+							s2 -= w32
+						}
+						c.next = heads[s2]
+						heads[s2] = nd
 					}
 				}
+				nd = next
 			}
 			heads[slot] = 0
 
@@ -367,7 +484,15 @@ func (s *WS) runGrid(uniq []int) error {
 				if b > uniq[g-1] {
 					faultIdx = g
 				} else {
-					faultIdx = sort.SearchInts(uniq, b)
+					lo, hi := 0, g-1 // uniq[hi] >= b
+					for lo < hi {
+						if m := int(uint(lo+hi) >> 1); uniq[m] < b {
+							lo = m + 1
+						} else {
+							hi = m
+						}
+					}
+					faultIdx = lo
 				}
 			}
 
@@ -409,21 +534,30 @@ func (s *WS) runGrid(uniq []int) error {
 				stS[i] += r * fs
 				lastT[i] = t + 1
 			}
+			if nr := min(faultIdx, rec); nr > 0 {
+				k := len(ladder)
+				if prev != 0 {
+					k = sort.SearchInts(ladder, t-prev)
+				}
+				row := faultWS[k*rec : k*rec+nr]
+				for i := range row {
+					row[i] += int64(ws[i])
+				}
+			}
 
 			// Schedule this reference's expiry chain.
 			if fire := t + tau0; fire <= n {
-				node := int32(t % w)
-				nodeU[node] = t
-				nodePage[node] = int32(pg)
-				nodeIdx[node] = 0
-				s2 := int32(fire % w)
-				nxt[node] = heads[s2]
-				heads[s2] = node + 1
+				s2 := slot + int32(tau0)
+				if s2 >= w32 {
+					s2 -= w32
+				}
+				nodes[slot] = chain{u: t, page: int32(pg), next: heads[s2]}
+				heads[s2] = slot + 1
 			}
 		}
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	// Materialize the tail: constant working set to the end of the run.
 	for i := range ws {
@@ -443,5 +577,5 @@ func (s *WS) runGrid(uniq []int) error {
 			MaxResident: maxws[i],
 		}
 	}
-	return nil
+	return faultWS, nil
 }

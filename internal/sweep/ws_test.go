@@ -2,11 +2,14 @@ package sweep_test
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
+	"cdmm/internal/mem"
 	"cdmm/internal/policy"
 	"cdmm/internal/sweep"
+	"cdmm/internal/trace"
 	"cdmm/internal/vmsim"
 )
 
@@ -181,5 +184,165 @@ func TestWSMinSTMatchesLadderScan(t *testing.T) {
 	}
 	if tau != bestTau || res != best {
 		t.Fatalf("MinST (%d, %+v) != ladder scan (%d, %+v)", tau, res, bestTau, best)
+	}
+}
+
+// TestWSMinSTTiesBreakToSmallerTau pins the ladder-order tie rule under
+// pruning: on these traces several ladder points share the minimal ST,
+// and the smallest of them must win.
+func TestWSMinSTTiesBreakToSmallerTau(t *testing.T) {
+	cases := []struct {
+		name  string
+		pages []mem.Page
+		want  int
+	}{
+		// One page: every τ costs R + FaultService, which is also every
+		// point's histogram bound, so a point whose bound equals the best
+		// ST must still be computed.
+		{"one page", make([]mem.Page, 40), 1},
+		// Three pages round robin: every τ >= 3 keeps all three resident
+		// and faults only on the first references.
+		{"round robin", []mem.Page{0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2}, 3},
+		// Two pages: every τ >= 10 faults only on the two first
+		// references. τ=10 is a lower-half point computed only if it
+		// survives pruning, and its bound equals the best ST exactly:
+		// skipping bound-equal points would pick the upper half's τ=14.
+		{"bound equals best", []mem.Page{1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 1, 0, 1, 1, 1, 1, 0, 0, 1, 0, 0, 0, 1, 1, 0, 0, 0, 0, 1, 1, 1}, 10},
+	}
+	for _, c := range cases {
+		tr := trace.New(c.name)
+		for _, pg := range c.pages {
+			tr.AddRef(pg)
+		}
+		taus := vmsim.DefaultTaus(tr.Refs)
+		want := vmsim.Run(tr.RefsOnly(), policy.NewWS(c.want))
+		if top := vmsim.Run(tr.RefsOnly(), policy.NewWS(taus[len(taus)-1])); top.SpaceTime != want.SpaceTime {
+			t.Fatalf("%s: no tie: ST %v at τ=%d, %v at τ=%d", c.name, want.SpaceTime, c.want, top.SpaceTime, taus[len(taus)-1])
+		}
+		tau, res, err := mustWS(t, tr).MinST()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tau != c.want || res != want {
+			t.Errorf("%s: MinST (%d, %+v), want (%d, %+v)", c.name, tau, res, c.want, want)
+		}
+	}
+}
+
+// TestWSMinSTMatchesCurveScanRandom checks the pruned search against a
+// strict-< scan of the unpruned ladder curve on many short traces over
+// few pages, where exact ST ties and bounds equal to the best ST are
+// common.
+func TestWSMinSTMatchesCurveScanRandom(t *testing.T) {
+	seed := uint64(7)
+	rng := func() uint64 {
+		seed = seed*6364136223846793005 + 1442695040888963407
+		return seed >> 33
+	}
+	for iter := 0; iter < 3000; iter++ {
+		n, universe := 5+int(rng()%60), 1+rng()%5
+		tr := trace.New("rand")
+		var pages []mem.Page
+		for i := 0; i < n; i++ {
+			pg := mem.Page(rng() % universe)
+			if rng()%3 == 0 && i > 0 {
+				pg = pages[i-1]
+			}
+			pages = append(pages, pg)
+			tr.AddRef(pg)
+		}
+		taus := vmsim.DefaultTaus(tr.Refs)
+		curve, err := mustWS(t, tr).Curve(taus)
+		if err != nil {
+			t.Fatal(err)
+		}
+		best := 0
+		for i := range curve {
+			if curve[i].SpaceTime < curve[best].SpaceTime {
+				best = i
+			}
+		}
+		tau, res, err := mustWS(t, tr).MinST()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tau != taus[best] || res != curve[best] {
+			t.Fatalf("pages %v: MinST (%d, %+v), ladder scan (%d, %+v)", pages, tau, res, taus[best], curve[best])
+		}
+	}
+}
+
+// genSource is a synthetic 64-page reference stream generated block by
+// block: nothing is materialized, so what a consumer allocates is its
+// own. Pages 0-55 are drawn at random; every 2^18th reference goes to
+// one of pages 56-63 in turn, so those recur only every 2M references,
+// far beyond the WS histogram's dense limit.
+type genSource struct{ refs int }
+
+func (g genSource) Meta() trace.Meta {
+	return trace.Meta{Name: "gen", Events: g.refs, Refs: g.refs, Distinct: 64, MaxPage: 63}
+}
+
+func (genSource) Tables() *trace.SideTables { return &trace.SideTables{} }
+
+func (g genSource) Blocks(trace.CursorOpts) trace.Cursor {
+	return &genCursor{left: g.refs, seed: 1, buf: make([]mem.Page, 4096)}
+}
+
+type genCursor struct {
+	left, t int
+	seed    uint64
+	buf     []mem.Page
+}
+
+func (c *genCursor) Next(b *trace.Block) bool {
+	if c.left == 0 {
+		return false
+	}
+	n := min(c.left, len(c.buf))
+	for i := range c.buf[:n] {
+		c.t++
+		c.seed = c.seed*6364136223846793005 + 1442695040888963407
+		pg := mem.Page(c.seed>>33) % 56
+		if c.t%(1<<18) == 0 {
+			pg = 56 + mem.Page(c.t>>18)%8
+		}
+		c.buf[i] = pg
+	}
+	c.left -= n
+	*b = trace.Block{Pages: c.buf[:n]}
+	return true
+}
+
+func (*genCursor) Err() error   { return nil }
+func (*genCursor) Close() error { return nil }
+
+// TestWSHistogramMemoryIsSublinear builds the WS index of a 20M-ref
+// stream over 64 pages in a few MB, where one 8-byte counter per
+// reference would need 160 MB per array, and checks it against streamed
+// replays on both sides of the dense limit.
+func TestWSHistogramMemoryIsSublinear(t *testing.T) {
+	src := genSource{refs: 20_000_000}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s, err := sweep.NewWS(src)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d > 16<<20 {
+		t.Fatalf("NewWS allocated %d MB for %d refs, want < 16 MB", d>>20, src.refs)
+	}
+	for _, tau := range []int{s.Lim() / 2, 4 * s.Lim()} {
+		r, err := vmsim.RunSource(src, policy.NewWS(tau), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Faults(tau); got != r.Faults {
+			t.Errorf("τ=%d (L=%d): faults %d != replay %d", tau, s.Lim(), got, r.Faults)
+		}
+		if got := s.MemSum(tau); got != r.MemSum {
+			t.Errorf("τ=%d (L=%d): MemSum %v != replay %v", tau, s.Lim(), got, r.MemSum)
+		}
 	}
 }
