@@ -23,7 +23,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"cdmm/internal/advisor"
 	"cdmm/internal/bli"
@@ -315,11 +314,10 @@ func cmdFamily(args []string) error {
 func cmdDetune(args []string) error {
 	fs := flag.NewFlagSet("detune", flag.ContinueOnError)
 	j := registerJFlag(fs)
-	cell := fs.Bool("cellmode", false, "replay one full simulation per detune factor instead of the lockstep one-pass grid (the differential oracle)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	rows, err := experiments.DetuneStudy(newEngine(*j).WithCellMode(*cell), nil, nil)
+	rows, err := experiments.DetuneStudy(newEngine(*j), nil, nil)
 	if err != nil {
 		return err
 	}
@@ -659,8 +657,6 @@ func parseFloatGrid(spec string, def []float64) ([]float64, error) {
 func cmdTables(which string, args []string) error {
 	fs := flag.NewFlagSet(which, flag.ContinueOnError)
 	j := registerJFlag(fs)
-	cell := fs.Bool("cellmode", false, "compute sweep artifacts by per-cell replay (one full simulation per curve point; the differential oracle)")
-	timing := fs.Bool("timing", false, "after rendering, recompute the tables in the other sweep mode and print the wall-clock comparison")
 	of := registerObsFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -669,80 +665,11 @@ func cmdTables(which string, args []string) error {
 	if err != nil {
 		return err
 	}
-	if *timing {
-		// workloads.Compile is a process-global cache, so whichever leg
-		// runs first would otherwise pay FORTRAN compilation and trace
-		// generation for both. Warm it up front so the timed legs
-		// compare sweep work only.
-		if err := warmTableCompiles(which); err != nil {
-			return err
-		}
-	}
-	start := time.Now()
-	err = runTablesTo(os.Stdout, which, newEngine(*j).WithCellMode(*cell))
-	if err == nil && *timing {
-		// The other mode renders to the bit bucket on a fresh engine:
-		// same compiled programs, but every simulation and sweep redone.
-		thisDur := time.Since(start)
-		otherStart := time.Now()
-		err = runTablesTo(io.Discard, which, engine.New(*j).WithObserver(cmdObserver).WithCellMode(!*cell))
-		if err == nil {
-			fmt.Println(renderTimingLine(*cell, thisDur, time.Since(otherStart)))
-		}
-	}
+	err = runTablesTo(os.Stdout, which, newEngine(*j))
 	if ferr := finish(); err == nil {
 		err = ferr
 	}
 	return err
-}
-
-// warmTableCompiles compiles every program the selected table draws on,
-// populating the shared workloads cache before `-timing` starts its
-// clocks.
-func warmTableCompiles(which string) error {
-	var vs []experiments.Variant
-	switch which {
-	case "table1":
-		vs = experiments.Table1Variants
-	case "table2":
-		vs = experiments.Table2Variants
-	case "table3", "table4":
-		vs = experiments.Table34Variants
-	default: // tables: Table34Variants covers every program in 1 and 2
-		vs = experiments.Table34Variants
-	}
-	seen := map[string]bool{}
-	for _, v := range vs {
-		if seen[v.Program] {
-			continue
-		}
-		seen[v.Program] = true
-		p, err := workloads.Get(v.Program)
-		if err != nil {
-			return err
-		}
-		if _, err := workloads.Compile(p); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// renderTimingLine formats the curve-vs-cell wall-clock comparison for
-// `cdmm table* -timing`. thisDur is the rendered leg's duration in the
-// requested mode (cell when cellMode, else curve), otherDur the silent
-// recomputation in the opposite mode.
-func renderTimingLine(cellMode bool, thisDur, otherDur time.Duration) string {
-	curve, cell := thisDur, otherDur
-	if cellMode {
-		curve, cell = otherDur, thisDur
-	}
-	speedup := 0.0
-	if curve > 0 {
-		speedup = float64(cell) / float64(curve)
-	}
-	return fmt.Sprintf("sweep timing: curve %s vs per-cell %s (%.1fx)",
-		curve.Round(time.Millisecond), cell.Round(time.Millisecond), speedup)
 }
 
 func runTables(which string, eng *engine.Engine) error {

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"cdmm/internal/core"
+	"cdmm/internal/experiments"
 	"cdmm/internal/obs"
 )
 
@@ -156,14 +159,70 @@ func TestCmdTablesEventsDeterministicAcrossJ(t *testing.T) {
 	}
 }
 
+// TestCmdTable2EventsContract: `table2 -events` describes the table, not
+// the search. The stream holds one CD run and one WS run (the minimum's
+// winning window) per row, every run audits exactly against its end
+// marker, the stream is byte-identical at -j 1 and -j 8, and the table
+// prints exactly as it does without -events.
+func TestCmdTable2EventsContract(t *testing.T) {
+	dir := t.TempDir()
+	plain := captureStdout(t, func() error { return cmdTables("table2", []string{"-j", "2"}) })
+	var streams [][]byte
+	for _, j := range []string{"1", "8"} {
+		path := filepath.Join(dir, "t2-j"+j+".jsonl")
+		out := captureStdout(t, func() error { return cmdTables("table2", []string{"-j", j, "-events", path}) })
+		if out != plain {
+			t.Errorf("-j %s -events table differs from the plain one:\n%s\nvs\n%s", j, out, plain)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		streams = append(streams, raw)
+	}
+	if !bytes.Equal(streams[0], streams[1]) {
+		t.Errorf("event streams differ between -j 1 (%d bytes) and -j 8 (%d bytes)", len(streams[0]), len(streams[1]))
+	}
+
+	events, err := obs.ReadEvents(bytes.NewReader(streams[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var runs [][]obs.Event
+	for i, ev := range events {
+		if ev.Kind == obs.KindRun {
+			runs = append(runs, nil)
+		} else if len(runs) == 0 {
+			t.Fatalf("event %d (%q) precedes the first run", i, ev.Kind)
+		}
+		runs[len(runs)-1] = append(runs[len(runs)-1], ev)
+	}
+	perPolicy := map[string]int{}
+	for i, run := range runs {
+		end := run[len(run)-1]
+		if end.Kind != obs.KindEnd {
+			t.Fatalf("run %d (%s) does not close with an end marker", i, run[0].Label)
+		}
+		memSum := math.Round(end.Mem * float64(end.Refs))
+		if err := obs.AuditReplay(run, end.Refs, end.Faults, memSum); err != nil {
+			t.Errorf("run %d (%s): %v", i, run[0].Label, err)
+		}
+		policy, _, _ := strings.Cut(run[0].Label, "(")
+		perPolicy[policy]++
+	}
+	rows := len(experiments.Table2Variants)
+	if len(runs) != 2*rows || perPolicy["CD"] != rows || perPolicy["WS"] != rows {
+		t.Errorf("stream runs by policy %v, want %d CD and %d WS", perPolicy, rows, rows)
+	}
+}
+
 // TestCmdTableMetricsDeterministicAcrossRuns regenerates Table 1 with
 // an event trace and a metrics snapshot at -j 2, twice: the snapshots
 // must be byte-identical. The per-run gauges (max_resident,
 // virtual_time, mem_avg) describe one simulation, so a table command,
 // whose runs share the registry and finish in any order at -j > 1, must
 // not carry them at all; sim and replay set them from their single
-// result. (Table 1 has nine such runs; an instrumented Table 2 takes
-// tens of seconds and writes a ~1 GB event trace.)
+// result. (Table 1 has nine such runs.)
 func TestCmdTableMetricsDeterministicAcrossRuns(t *testing.T) {
 	dir := t.TempDir()
 	var snaps [2][]byte

@@ -1,89 +1,9 @@
 package main
 
 import (
-	"bytes"
 	"path/filepath"
-	"strings"
 	"testing"
-	"time"
-
-	"cdmm/internal/engine"
-	"cdmm/internal/experiments"
 )
-
-func TestRenderTimingLine(t *testing.T) {
-	want := "sweep timing: curve 100ms vs per-cell 1s (10.0x)"
-	if got := renderTimingLine(false, 100*time.Millisecond, time.Second); got != want {
-		t.Errorf("curve mode: %q, want %q", got, want)
-	}
-	// In cell mode the rendered leg is the per-cell one; the line reads
-	// the same either way round.
-	if got := renderTimingLine(true, time.Second, 100*time.Millisecond); got != want {
-		t.Errorf("cell mode: %q, want %q", got, want)
-	}
-	if got := renderTimingLine(false, 0, time.Second); !strings.Contains(got, "(0.0x)") {
-		t.Errorf("zero curve duration: %q, want 0.0x guard", got)
-	}
-}
-
-// TestTable2CurveCellByteIdentical renders Table 2 — the table whose LRU
-// and WS columns the sweep plane computes in one traversal each — in
-// curve mode and in per-cell mode, sequentially and in parallel, and
-// requires all four renderings to be byte-identical: the one-pass
-// curves must be indistinguishable from per-cell simulation at the
-// output layer, at any -j.
-func TestTable2CurveCellByteIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("cell mode replays every curve point; skipped under -short")
-	}
-	render := func(cell bool, j int) string {
-		var buf bytes.Buffer
-		if err := runTablesTo(&buf, "table2", engine.New(j).WithCellMode(cell)); err != nil {
-			t.Fatalf("cell=%v -j %d: %v", cell, j, err)
-		}
-		return buf.String()
-	}
-	curve := render(false, 1)
-	if curve == "" {
-		t.Fatal("empty table2 rendering")
-	}
-	for _, c := range []struct {
-		cell bool
-		j    int
-	}{{false, 8}, {true, 1}, {true, 8}} {
-		if got := render(c.cell, c.j); got != curve {
-			t.Errorf("cell=%v -j %d rendering differs from curve -j 1:\n%s\nvs\n%s", c.cell, c.j, got, curve)
-		}
-	}
-}
-
-// TestDetuneCurveCellByteIdentical: the detune study's lockstep one-pass
-// factor grid must render identically to one replay per factor.
-func TestDetuneCurveCellByteIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("cell mode replays every factor; skipped under -short")
-	}
-	render := func(cell bool) string {
-		rows, err := experiments.DetuneStudy(engine.New(2).WithCellMode(cell), nil, nil)
-		if err != nil {
-			t.Fatalf("cell=%v: %v", cell, err)
-		}
-		return experiments.RenderDetune(rows)
-	}
-	curve, cellR := render(false), render(true)
-	if curve == "" || curve != cellR {
-		t.Errorf("detune renderings differ:\n%s\nvs\n%s", curve, cellR)
-	}
-}
-
-func TestCmdTablesTimingFlag(t *testing.T) {
-	if testing.Short() {
-		t.Skip("-timing recomputes the tables in cell mode; skipped under -short")
-	}
-	if err := cmdTables("table2", []string{"-timing"}); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestCmdSweepCurveModes(t *testing.T) {
 	for _, args := range [][]string{

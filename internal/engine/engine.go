@@ -58,12 +58,6 @@ type Engine struct {
 	// start/end, retries, failures).
 	log *slog.Logger
 
-	// cellMode forces the per-cell replay path for sweep artifacts: every
-	// curve point is an independent full-trace simulation instead of a
-	// point on a one-pass curve. The differential oracle and the slow leg
-	// of `cdmm table* -timing`.
-	cellMode bool
-
 	// ctx cancels in-flight plans (nil means context.Background()).
 	ctx context.Context
 	// retries and backoff bound the retry loop for transient run
@@ -131,20 +125,6 @@ func (e *Engine) WithRetry(retries int, backoff time.Duration) *Engine {
 	e.backoff = backoff
 	return e
 }
-
-// WithCellMode selects how sweep artifacts (LRU curves, WS runs and
-// minima, CD detune grids) are computed: false (the default) uses the
-// one-pass curve engines in internal/sweep, true replays the trace per
-// curve point through vmsim — the differential oracle. Memo keys carry
-// the mode, so one engine can hold both modes' artifacts without
-// collision (the -timing comparison does exactly that). Call before Map.
-func (e *Engine) WithCellMode(cell bool) *Engine {
-	e.cellMode = cell
-	return e
-}
-
-// CellMode reports whether the engine replays per cell (see WithCellMode).
-func (e *Engine) CellMode() bool { return e.cellMode }
 
 // context returns the engine's cancellation context.
 func (e *Engine) context() context.Context {

@@ -12,7 +12,9 @@ import (
 	"cdmm/internal/engine"
 	"cdmm/internal/mem"
 	"cdmm/internal/obs"
+	"cdmm/internal/policy"
 	"cdmm/internal/trace"
+	"cdmm/internal/vmsim"
 	"cdmm/internal/workloads"
 )
 
@@ -292,10 +294,9 @@ func TestWorkersDefault(t *testing.T) {
 	}
 }
 
-// TestWSMinSTWithExtras pins the batched ws-min artifact. In curve mode
-// the extra windows ride along once and read back exactly as cell-mode
-// replays; WSMinST shares the entry; cell mode and an enabled observer
-// keep their own searches and never ask for the extras.
+// TestWSMinSTWithExtras pins the batched ws-min artifact: the extra
+// windows ride along once and read back exactly as per-cell replays, and
+// WSMinST shares the entry.
 func TestWSMinSTWithExtras(t *testing.T) {
 	const prog = "synthetic"
 	seed := uint64(3)
@@ -304,60 +305,85 @@ func TestWSMinSTWithExtras(t *testing.T) {
 		seed = seed*6364136223846793005 + 1442695040888963407
 		tr.AddRef(mem.Page(i/500 + int(seed>>33)%12))
 	}
-	install := func(e *engine.Engine) *engine.Engine {
-		_, err := e.Memo(nil, engine.Key{Kind: "compile", Program: prog}, func(*engine.RunCtx, *obs.Observer) (any, error) {
-			return &workloads.Compiled{Trace: tr}, nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e
+	eng := engine.New(1)
+	if _, err := eng.Memo(nil, engine.Key{Kind: "compile", Program: prog}, func(*engine.RunCtx, *obs.Observer) (any, error) {
+		return &workloads.Compiled{Trace: tr}, nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 	extras := []int{77, 1234}
 	calls := 0
 	count := func(*engine.RunCtx) ([]int, error) { calls++; return extras, nil }
-	refuse := func(*engine.RunCtx) ([]int, error) {
-		t.Error("extra windows requested outside curve mode")
-		return nil, nil
-	}
 
-	curve := install(engine.New(1))
-	tau, res, err := curve.WSMinSTWith(nil, prog, count)
+	tau, res, err := eng.WSMinSTWith(nil, prog, count)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if calls != 1 {
 		t.Fatalf("extra called %d times, want 1", calls)
 	}
-	if tau2, res2, err := curve.WSMinST(nil, prog); err != nil || tau2 != tau || res2 != res {
+	if tau2, res2, err := eng.WSMinST(nil, prog); err != nil || tau2 != tau || res2 != res {
 		t.Fatalf("WSMinST after WSMinSTWith = (%d, %+v, %v), want (%d, %+v)", tau2, res2, err, tau, res)
 	}
-	if _, _, err := curve.WSMinSTWith(nil, prog, count); err != nil || calls != 1 {
+	if _, _, err := eng.WSMinSTWith(nil, prog, count); err != nil || calls != 1 {
 		t.Fatalf("memoized entry recomputed: calls=%d err=%v", calls, err)
 	}
-
-	cell := install(engine.New(1).WithCellMode(true))
-	observed := install(engine.New(1).WithObserver(&obs.Observer{Metrics: obs.NewRegistry()}))
-	for name, e := range map[string]*engine.Engine{"cell": cell, "observed": observed} {
-		gotTau, gotRes, err := e.WSMinSTWith(nil, prog, refuse)
+	for _, x := range extras {
+		got, err := eng.WSRun(nil, prog, x)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if gotTau != tau || gotRes != res {
-			t.Fatalf("%s: (%d, %+v) != curve mode (%d, %+v)", name, gotTau, gotRes, tau, res)
+		if want := vmsim.Run(tr.RefsOnly(), policy.NewWS(x)); got != want {
+			t.Fatalf("tau=%d: curve %+v != cell %+v", x, got, want)
 		}
 	}
-	for _, x := range extras {
-		a, err := curve.WSRun(nil, prog, x)
+}
+
+// TestWSMinSTObservedReplaysWinnerOnly: with an event tracer, the ladder
+// search stays silent and the stream carries exactly one WS run, the
+// winner's, whose events audit against its end marker and whose τ and
+// Result equal the unobserved engine's. The extra windows are never
+// requested.
+func TestWSMinSTObservedReplaysWinnerOnly(t *testing.T) {
+	for _, prog := range []string{"CONDUCT", "HWSCRT"} {
+		wantTau, want, err := engine.New(1).WSMinST(nil, prog)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := cell.WSRun(nil, prog, x)
+		col := &obs.Collector{}
+		observed := engine.New(1).WithObserver(&obs.Observer{Tracer: col})
+		tau, res, err := observed.WSMinSTWith(nil, prog, func(*engine.RunCtx) ([]int, error) {
+			t.Errorf("%s: extra windows requested by an observed search", prog)
+			return nil, nil
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a != b {
-			t.Fatalf("tau=%d: curve %+v != cell %+v", x, a, b)
+		if tau != wantTau || res != want {
+			t.Errorf("%s: observed (%d, %+v), unobserved (%d, %+v)", prog, tau, res, wantTau, want)
+		}
+		var runs [][]obs.Event
+		for _, ev := range col.Events {
+			if ev.Kind == obs.KindRun {
+				runs = append(runs, nil)
+			}
+			if len(runs) > 0 {
+				runs[len(runs)-1] = append(runs[len(runs)-1], ev)
+			}
+		}
+		if len(runs) != 1 {
+			t.Fatalf("%s: %d runs in the stream, want 1", prog, len(runs))
+		}
+		run := runs[0]
+		if label := policy.NewWS(tau).Name(); run[0].Label != label {
+			t.Errorf("%s: run %q, want %q", prog, run[0].Label, label)
+		}
+		end := run[len(run)-1]
+		if end.Kind != obs.KindEnd || end.Refs != res.Refs || end.Faults != res.Faults || end.Mem != res.MEM() {
+			t.Fatalf("%s: end marker %+v does not close the run of %+v", prog, end, res)
+		}
+		if err := obs.AuditReplay(run, end.Refs, end.Faults, res.MemSum); err != nil {
+			t.Errorf("%s: %v", prog, err)
 		}
 	}
 }

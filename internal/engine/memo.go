@@ -190,32 +190,23 @@ func (e *Engine) Compiled(rc *RunCtx, program string) (*workloads.Compiled, erro
 	return v.(*workloads.Compiled), nil
 }
 
-// modeParams appends the engine's sweep mode to a memo-key Params
-// string, so curve-mode and cell-mode artifacts coexist in one memo
-// store (the -timing comparison computes both in one process).
-func (e *Engine) modeParams(base string) string {
-	if !e.cellMode {
-		return base
-	}
-	if base == "" {
-		return "mode=cell"
-	}
-	return base + ",mode=cell"
+// wsRunKey and cdDetuneKey name the WSRun and CDDetune memo entries.
+func wsRunKey(program string, tau int) Key {
+	return Key{Kind: "ws-run", Program: program, Policy: "WS", Params: fmt.Sprintf("tau=%d", tau)}
+}
+
+func cdDetuneKey(program string, set workloads.Set, minAlloc int, factors []float64) Key {
+	params := setParams(set, minAlloc) + ",factors=" + fmtFactors(factors)
+	return Key{Kind: "cd-detune", Program: program, Set: set.Name, Policy: "CD", Params: params}
 }
 
 // LRUSweep returns the program's all-allocations LRU curve, computed
-// once per engine: one Mattson stack-distance pass over the trace in
-// curve mode, or V independent replays (one per allocation) in cell
-// mode.
+// once per engine by one Mattson stack-distance pass over the trace.
 func (e *Engine) LRUSweep(rc *RunCtx, program string) (*sweep.LRUCurve, error) {
-	k := Key{Kind: "lru-sweep", Program: program, Policy: "LRU", Params: e.modeParams("")}
-	v, err := e.Memo(rc, k, func(comp *RunCtx, _ *obs.Observer) (any, error) {
+	v, err := e.Memo(rc, Key{Kind: "lru-sweep", Program: program, Policy: "LRU"}, func(comp *RunCtx, _ *obs.Observer) (any, error) {
 		c, err := e.Compiled(comp, program)
 		if err != nil {
 			return nil, err
-		}
-		if e.cellMode {
-			return sweep.FromLRUCells(vmsim.SweepLRU(c.Trace, c.V())), nil
 		}
 		return sweep.NewLRU(c.Trace)
 	})
@@ -227,9 +218,7 @@ func (e *Engine) LRUSweep(rc *RunCtx, program string) (*sweep.LRUCurve, error) {
 
 // WSSweep returns the program's working-set curve index (the interval
 // histogram: PF(τ) and MemSum(τ) for every τ from one pass), computed
-// once per engine. The index is mode-independent — cell mode diverges at
-// the full-replay artifacts (WSRun, WSMinST), not at the histograms,
-// which predate the curve engines.
+// once per engine.
 func (e *Engine) WSSweep(rc *RunCtx, program string) (*sweep.WS, error) {
 	v, err := e.Memo(rc, Key{Kind: "ws-sweep", Program: program, Policy: "WS"}, func(comp *RunCtx, _ *obs.Observer) (any, error) {
 		c, err := e.Compiled(comp, program)
@@ -263,30 +252,17 @@ func (e *Engine) CDRun(rc *RunCtx, program string, set workloads.Set, minAlloc i
 }
 
 // WSRun returns the WS(tau) result for the program, once per engine and
-// window. With an enabled observer the full trace is replayed
-// instrumented (per-reference events, exactly as before the curve
-// plane); otherwise curve mode reads the point off the one-pass grid
-// engine and cell mode replays the directive-stripped trace solo.
+// window: a point read off the one-pass grid engine, or, with an enabled
+// observer, one instrumented replay of the full trace whose event stream
+// audits against the result.
 func (e *Engine) WSRun(rc *RunCtx, program string, tau int) (vmsim.Result, error) {
-	k := Key{Kind: "ws-run", Program: program, Policy: "WS", Params: e.modeParams(fmt.Sprintf("tau=%d", tau))}
-	v, err := e.Memo(rc, k, func(comp *RunCtx, o *obs.Observer) (any, error) {
+	v, err := e.Memo(rc, wsRunKey(program, tau), func(comp *RunCtx, o *obs.Observer) (any, error) {
 		s, err := e.WSSweep(comp, program)
 		if err != nil {
 			return nil, err
 		}
 		if o.Enabled() {
-			c, err := e.Compiled(comp, program)
-			if err != nil {
-				return nil, err
-			}
-			return vmsim.RunObserved(c.Trace, policy.NewWS(tau), o), nil
-		}
-		if e.cellMode {
-			c, err := e.Compiled(comp, program)
-			if err != nil {
-				return nil, err
-			}
-			return vmsim.Run(c.Trace.RefsOnly(), policy.NewWS(tau)), nil
+			return e.wsObserved(comp, program, tau, o)
 		}
 		return s.Run(tau)
 	})
@@ -296,76 +272,45 @@ func (e *Engine) WSRun(rc *RunCtx, program string, tau int) (vmsim.Result, error
 	return v.(vmsim.Result), nil
 }
 
+// wsObserved replays WS(tau) over the program's trace with events on.
+func (e *Engine) wsObserved(comp *RunCtx, program string, tau int, o *obs.Observer) (vmsim.Result, error) {
+	c, err := e.Compiled(comp, program)
+	if err != nil {
+		return vmsim.Result{}, err
+	}
+	return vmsim.RunObserved(c.Trace, policy.NewWS(tau), o), nil
+}
+
 // wsMin pairs the minimizing window with its result.
 type wsMin struct {
 	tau int
 	res vmsim.Result
 }
 
-// WSMinST returns the working-set window minimizing space-time cost and
-// its full result, computed once per engine. In curve mode the pruned τ
-// ladder falls out of at most two grid-engine traversals (sweep.WS.MinST);
-// cell mode replays the trace at every ladder point (formerly the most
-// expensive per-program artifact); an enabled observer keeps the
-// historical instrumented search — histogram-pruned ladder replays — so
-// event streams are unchanged.
+// WSMinST returns the working-set window minimizing space-time cost over
+// the τ ladder (vmsim.DefaultTaus) and its full result, computed once
+// per engine by at most two grid-engine traversals (sweep.WS.MinST).
+// With an enabled observer the search itself stays silent: only the
+// winning window is replayed instrumented, so the event stream carries
+// the one WS run the table reports.
 func (e *Engine) WSMinST(rc *RunCtx, program string) (int, vmsim.Result, error) {
 	return e.WSMinSTWith(rc, program, nil)
 }
 
-// WSMinSTWith is WSMinST, sharing its memo entry, whose curve-mode first
-// grid pass also computes the windows extra returns, so later WSRun
-// requests for them read memoized curve points instead of traversing
-// the trace again. extra runs only when it can ride along: never with
-// an enabled observer or in cell mode, and not when the entry was
-// already computed. The result is the same either way.
+// WSMinSTWith is WSMinST, sharing its memo entry, whose first grid pass
+// also computes the windows extra returns, so later WSRun requests for
+// them read memoized curve points instead of traversing the trace
+// again. extra runs only when it can ride along: never with an enabled
+// observer (WSRun then replays each window instrumented), and not when
+// the entry was already computed. The result is the same either way.
 func (e *Engine) WSMinSTWith(rc *RunCtx, program string, extra func(comp *RunCtx) ([]int, error)) (int, vmsim.Result, error) {
-	k := Key{Kind: "ws-min", Program: program, Policy: "WS", Params: e.modeParams("")}
-	v, err := e.Memo(rc, k, func(comp *RunCtx, o *obs.Observer) (any, error) {
+	v, err := e.Memo(rc, Key{Kind: "ws-min", Program: program, Policy: "WS"}, func(comp *RunCtx, o *obs.Observer) (any, error) {
 		s, err := e.WSSweep(comp, program)
 		if err != nil {
 			return nil, err
 		}
-		if o.Enabled() {
-			c, err := e.Compiled(comp, program)
-			if err != nil {
-				return nil, err
-			}
-			taus := vmsim.DefaultTaus(c.Trace.Refs)
-			bestTau := taus[0]
-			best := vmsim.RunObserved(c.Trace, policy.NewWS(bestTau), o)
-			for _, tau := range taus[1:] {
-				// Histogram lower bound: ST >= MemSum + FaultService·faults;
-				// skip τ whose bound already exceeds the best (cheap pruning,
-				// winner identical to the unpruned strict-< scan).
-				lower := s.MemSum(tau) + float64(policy.FaultService)*float64(s.Faults(tau))
-				if lower >= best.SpaceTime {
-					continue
-				}
-				if r := vmsim.RunObserved(c.Trace, policy.NewWS(tau), o); r.SpaceTime < best.SpaceTime {
-					bestTau, best = tau, r
-				}
-			}
-			return wsMin{bestTau, best}, nil
-		}
-		if e.cellMode {
-			c, err := e.Compiled(comp, program)
-			if err != nil {
-				return nil, err
-			}
-			refs := c.Trace.RefsOnly()
-			taus := vmsim.DefaultTaus(c.Trace.Refs)
-			bestTau := taus[0]
-			best := vmsim.Run(refs, policy.NewWS(bestTau))
-			for _, tau := range taus[1:] {
-				if r := vmsim.Run(refs, policy.NewWS(tau)); r.SpaceTime < best.SpaceTime {
-					bestTau, best = tau, r
-				}
-			}
-			return wsMin{bestTau, best}, nil
-		}
 		var taus []int
-		if extra != nil {
+		if extra != nil && !o.Enabled() {
 			if taus, err = extra(comp); err != nil {
 				return nil, err
 			}
@@ -373,6 +318,11 @@ func (e *Engine) WSMinSTWith(rc *RunCtx, program string, extra func(comp *RunCtx
 		tau, res, err := s.MinST(taus...)
 		if err != nil {
 			return nil, err
+		}
+		if o.Enabled() {
+			if res, err = e.wsObserved(comp, program, tau, o); err != nil {
+				return nil, err
+			}
 		}
 		return wsMin{tau, res}, nil
 	})
@@ -384,21 +334,19 @@ func (e *Engine) WSMinSTWith(rc *RunCtx, program string, extra func(comp *RunCtx
 }
 
 // CDDetune runs the CD policy with every granted allocation scaled by
-// each factor — the whole detune grid as one memoized artifact. Curve
-// mode steps the entire grid in lockstep through one trace traversal
-// (sweep.Multi); cell mode and the instrumented path replay per factor,
-// in factor order. detune wraps the set's selector with the caller's
-// scaling rule. Results are in factors order.
+// each factor — the whole detune grid as one memoized artifact, stepped
+// in lockstep through one trace traversal (sweep.Multi), or, with an
+// enabled observer, replayed instrumented per factor in factor order.
+// detune wraps the set's selector with the caller's scaling rule.
+// Results are in factors order.
 func (e *Engine) CDDetune(rc *RunCtx, program string, set workloads.Set, minAlloc int, factors []float64,
 	detune func(policy.ArmSelector, float64) policy.ArmSelector) ([]vmsim.Result, error) {
-	params := setParams(set, minAlloc) + ",factors=" + fmtFactors(factors)
-	k := Key{Kind: "cd-detune", Program: program, Set: set.Name, Policy: "CD", Params: e.modeParams(params)}
-	v, err := e.Memo(rc, k, func(comp *RunCtx, o *obs.Observer) (any, error) {
+	v, err := e.Memo(rc, cdDetuneKey(program, set, minAlloc, factors), func(comp *RunCtx, o *obs.Observer) (any, error) {
 		c, err := e.Compiled(comp, program)
 		if err != nil {
 			return nil, err
 		}
-		if o.Enabled() || e.cellMode {
+		if o.Enabled() {
 			out := make([]vmsim.Result, len(factors))
 			for i, f := range factors {
 				cd := policy.NewCD(detune(set.Selector(), f), minAlloc)

@@ -40,12 +40,10 @@ type DetuneRow struct {
 }
 
 // DetuneStudy runs each variant's canonical CD set with every X scaled by
-// each factor. Each variant's whole factor grid is one engine run — in
-// curve mode the grid replays in lockstep through a single trace
-// traversal (sweep.Multi via the engine's CDDetune artifact), in cell
-// mode one replay per factor — and rows come back variant-major,
-// factor-minor, identical in either mode. A nil engine uses
-// engine.Default().
+// each factor. Each variant's whole factor grid is one engine run — the
+// grid replays in lockstep through a single trace traversal (sweep.Multi
+// via the engine's CDDetune artifact) — and rows come back
+// variant-major, factor-minor. A nil engine uses engine.Default().
 func DetuneStudy(eng *engine.Engine, variants []Variant, factors []float64) ([]DetuneRow, error) {
 	if variants == nil {
 		variants = Table2Variants

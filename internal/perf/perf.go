@@ -311,7 +311,12 @@ func collectSweepCurves(b *Baseline, target time.Duration) error {
 				panic(err)
 			}
 		},
-		func() { vmsim.SweepLRU(tr, v) })
+		func() {
+			refs := tr.RefsOnly()
+			for m := 1; m <= v; m++ {
+				vmsim.Run(refs, policy.NewLRU(m))
+			}
+		})
 	b.SweepSpeedupWS = pairedRatio(0, 5, nil,
 		func() {
 			s, err := sweep.NewWS(tr)
@@ -322,7 +327,12 @@ func collectSweepCurves(b *Baseline, target time.Duration) error {
 				panic(err)
 			}
 		},
-		func() { vmsim.SweepWS(tr, taus) })
+		func() {
+			refs := tr.RefsOnly()
+			for _, tau := range taus {
+				vmsim.Run(refs, policy.NewWS(tau))
+			}
+		})
 	return nil
 }
 

@@ -1,8 +1,6 @@
 package sweep
 
 import (
-	"sort"
-
 	"cdmm/internal/mem"
 	"cdmm/internal/policy"
 	"cdmm/internal/trace"
@@ -52,27 +50,34 @@ func NewLRU(src trace.Source) (*LRUCurve, error) {
 	cur := 1
 	v := 0
 
+	// byPos[pos] is page+1 for each live position, 0 for a dead one.
+	// Live positions are unique and below cur, so one ordered scan of
+	// byPos renumbers them 1..v with no comparison sort.
+	var byPos []int
 	compact := func() {
-		// Renumber the live positions 1..v in order and rebuild.
-		live := make([]posPage, 0, v)
+		if len(byPos) < cur {
+			byPos = make([]int, n+1)
+		}
+		clear(byPos[:cur])
 		for pg, pos := range lastPos {
 			if pos != 0 {
-				live = append(live, posPage{pos: pos, page: pg})
+				byPos[pos] = pg + 1
 			}
 		}
-		sort.Slice(live, func(i, j int) bool { return live[i].pos < live[j].pos })
-		for n < 4*(len(live)+2) {
+		for n < 4*(v+2) {
 			n *= 2
 			bit = newFenwick(n)
 		}
-		for i := range bit.tree {
-			bit.tree[i] = 0
+		clear(bit.tree)
+		k := 0
+		for _, pg := range byPos[1:cur] {
+			if pg != 0 {
+				k++
+				lastPos[pg-1] = k
+				bit.add(k, 1)
+			}
 		}
-		for k, lp := range live {
-			lastPos[lp.page] = k + 1
-			bit.add(k+1, 1)
-		}
-		cur = len(live) + 1
+		cur = k + 1
 	}
 
 	err := walkRefs(src, func(pages []mem.Page) {
@@ -119,23 +124,6 @@ func NewLRU(src trace.Source) (*LRUCurve, error) {
 	}
 	return s, nil
 }
-
-// FromLRUCells rebuilds the curve from per-cell simulation results
-// (results[m-1] is the replay at allocation m) — the cell-mode
-// constructor, used when the engine is asked to distrust the one-pass
-// stack analysis and replay every allocation instead.
-func FromLRUCells(results []vmsim.Result) *LRUCurve {
-	s := &LRUCurve{V: len(results), faults: make([]int, len(results)+1)}
-	if len(results) > 0 {
-		s.Refs = results[0].Refs
-	}
-	for m := 1; m <= len(results); m++ {
-		s.faults[m] = results[m-1].Faults
-	}
-	return s
-}
-
-type posPage struct{ pos, page int }
 
 func (s *LRUCurve) clamp(m int) int {
 	if m < 1 {

@@ -27,9 +27,10 @@
 //     policy's per-reference decisions stay exactly those of a solo
 //     replay.
 //
-// Every engine is differentially tested against per-cell vmsim replay;
-// the per-cell path remains available (engine cell mode, vmsim.SweepLRU/
-// SweepWS) as the oracle.
+// Every engine is differentially tested against per-cell vmsim replay:
+// here on random traces, and in the engine package's oracle test on the
+// nine workloads, for every curve artifact the paper's tables read. The
+// per-cell path lives only in those tests.
 package sweep
 
 import (

@@ -33,6 +33,17 @@ func randomTrace(seed uint64, n, universe int) *trace.Trace {
 	return tr
 }
 
+// lruCells replays the trace under LRU at every allocation 1..v: the
+// per-cell oracle, results[m-1] at allocation m.
+func lruCells(tr *trace.Trace, v int) []vmsim.Result {
+	refs := tr.RefsOnly()
+	out := make([]vmsim.Result, v)
+	for m := 1; m <= v; m++ {
+		out[m-1] = vmsim.Run(refs, policy.NewLRU(m))
+	}
+	return out
+}
+
 func mustLRU(t *testing.T, src trace.Source) *sweep.LRUCurve {
 	t.Helper()
 	s, err := sweep.NewLRU(src)
@@ -54,7 +65,7 @@ func mustWS(t *testing.T, src trace.Source) *sweep.WS {
 func TestLRUCurveMatchesBrute(t *testing.T) {
 	tr := randomTrace(42, 3000, 40)
 	s := mustLRU(t, tr)
-	brute := vmsim.SweepLRU(tr, s.V)
+	brute := lruCells(tr, s.V)
 	for m := 1; m <= s.V; m++ {
 		b := brute[m-1]
 		if got := s.Faults(m); got != b.Faults {
@@ -105,7 +116,7 @@ func TestLRUCurvePropertyRandom(t *testing.T) {
 func TestLRUCurveCompression(t *testing.T) {
 	tr := randomTrace(3, 60000, 12)
 	s := mustLRU(t, tr)
-	brute := vmsim.SweepLRU(tr, s.V)
+	brute := lruCells(tr, s.V)
 	for m := 1; m <= s.V; m++ {
 		if got := s.Faults(m); got != brute[m-1].Faults {
 			t.Fatalf("m=%d: faults %d != brute %d", m, got, brute[m-1].Faults)
@@ -190,7 +201,7 @@ func TestLRUCurveMinAllocationForFaults(t *testing.T) {
 func TestFromLRUCells(t *testing.T) {
 	tr := randomTrace(19, 2000, 20)
 	curve := mustLRU(t, tr)
-	cells := sweep.FromLRUCells(vmsim.SweepLRU(tr, curve.V))
+	cells := sweep.FromLRUCells(lruCells(tr, curve.V))
 	if cells.V != curve.V || cells.Refs != curve.Refs {
 		t.Fatalf("cell rebuild V/Refs mismatch: %d/%d vs %d/%d", cells.V, cells.Refs, curve.V, curve.Refs)
 	}

@@ -220,28 +220,6 @@ func runBlocks(src trace.Source, pol policy.Policy, prog obs.ProgressFunc) (Resu
 	return Finalize(pol, meta.Refs, out), walkErr
 }
 
-// SweepLRU runs LRU at every allocation in [1, maxFrames] and returns the
-// results indexed by allocation-1. The paper varies the LRU allocation
-// between 1 and V.
-func SweepLRU(tr *trace.Trace, maxFrames int) []Result {
-	refs := tr.RefsOnly()
-	out := make([]Result, maxFrames)
-	for m := 1; m <= maxFrames; m++ {
-		out[m-1] = Run(refs, policy.NewLRU(m))
-	}
-	return out
-}
-
-// SweepWS runs the Working Set policy at each window size in taus.
-func SweepWS(tr *trace.Trace, taus []int) []Result {
-	refs := tr.RefsOnly()
-	out := make([]Result, len(taus))
-	for i, tau := range taus {
-		out[i] = Run(refs, policy.NewWS(tau))
-	}
-	return out
-}
-
 // DefaultTaus builds the WS window-size sweep for a trace of length R:
 // a geometric ladder from 1 to R covering the interesting range densely.
 func DefaultTaus(refLen int) []int {

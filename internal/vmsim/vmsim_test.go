@@ -111,9 +111,10 @@ func TestSweepLRUMonotone(t *testing.T) {
 			pages = append(pages, mem.Page(i))
 		}
 	}
-	res := SweepLRU(refTrace(pages...), 8)
-	if len(res) != 8 {
-		t.Fatalf("results = %d, want 8", len(res))
+	tr := refTrace(pages...)
+	var res []Result
+	for m := 1; m <= 8; m++ {
+		res = append(res, Run(tr, policy.NewLRU(m)))
 	}
 	for i := 1; i < len(res); i++ {
 		if res[i].Faults > res[i-1].Faults {
@@ -136,9 +137,9 @@ func TestSweepWS(t *testing.T) {
 		}
 	}
 	tr := refTrace(pages...)
-	res := SweepWS(tr, []int{1, 4, 16})
-	if len(res) != 3 {
-		t.Fatalf("results = %d", len(res))
+	var res []Result
+	for _, tau := range []int{1, 4, 16} {
+		res = append(res, Run(tr, policy.NewWS(tau)))
 	}
 	// Larger windows: fewer or equal faults, larger or equal MEM.
 	for i := 1; i < len(res); i++ {
